@@ -36,7 +36,7 @@ from .formats import (
     serialize_function_file,
     serialize_scheme_file,
 )
-from .gf import Field, Polynomial, field_make, lagrange_interpolate, minimal_poly, poly_eval
+from .gf import Field, Polynomial, lagrange_interpolate, minimal_poly, poly_eval
 from .search import RedundancySearchResult, RequirementSet, exact_redundancy, pair_requirement
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "exact_redundancy",
     "fcc_decode",
     "fcc_encode",
-    "field_make",
     "find_critical_pair",
     "inject",
     "lagrange_interpolate",

@@ -244,8 +244,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 class GridSpec:
     """One experiment sweep: the cross product of all listed cells.
 
-    The seed is part of the invocation record; every cell computation is
-    deterministic regardless, so identical specs give identical rows.
+    Every cell computation is deterministic, so identical specs give
+    identical rows.
     """
 
     qs: tuple[int, ...]
@@ -253,7 +253,6 @@ class GridSpec:
     ts: tuple[int, ...]
     functions: tuple[str, ...]
     node_budget: int = defaults.SEARCH_NODE_BUDGET
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         ts=parse_range_list(args.t),
         functions=tuple(args.functions),
         node_budget=_resolve_budget(args.budget, defaults.SEARCH_NODE_BUDGET),
-        seed=args.seed,
     )
     timer = None if args.no_timing else time.perf_counter
     rows = run_experiment_grid(spec, timer=timer)
@@ -465,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True)
     p.add_argument("--functions", nargs="+", required=True,
                    help="builtin specs, e.g. or identity linear:1,0,1")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--no-timing", action="store_true",

@@ -1,20 +1,23 @@
 """Generic linear-code machinery over F_q.
 
-A code is given by a full-rank k x n generator matrix; minimum distance
-is found by enumerating all q^k codewords, which by linearity equals the
-minimum nonzero codeword weight.  Enumeration refuses to start when q^k
+A code is given by a full-rank k x n generator matrix.  Its q^k
+codewords are enumerated in one place, ``iter_codewords``: a base-q
+odometer over the messages that updates the running codeword only on the
+digits that changed.  Minimum distance is the minimum nonzero codeword
+weight over that stream, by linearity; it refuses to start when q^k
 exceeds the budget rather than falling back to sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 from . import defaults
 from .errors import BudgetExceeded, DimensionError, RankDeficient
 from .gf import Field
-from .vectors import check_vector, iter_messages
+from .vectors import check_vector
 
 
 @dataclass(frozen=True)
@@ -60,10 +63,6 @@ class GeneratorMatrix:
             for j in range(self.k)
         )
 
-    def parity_columns(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of the trailing k x (n-k) block."""
-        return tuple(row[self.k :] for row in self.rows)
-
     def __repr__(self) -> str:
         return f"GeneratorMatrix([{self.n},{self.k}]_{self.q})"
 
@@ -101,52 +100,52 @@ def linear_encode(g: GeneratorMatrix, u: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def codewords(g: GeneratorMatrix) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(message, codeword) pairs for all q^k messages in rank order."""
-    for u in iter_messages(g.q, g.k):
-        yield u, linear_encode(g, u)
+def iter_codewords(g: GeneratorMatrix) -> Iterator[list[int]]:
+    """Every codeword u . G in message-rank order, starting with zero.
+
+    Walks the messages with a base-q odometer, updating the running
+    codeword only on the digits it changed.  The same list is yielded
+    every time and updated in place, so a consumer that keeps a codeword
+    must copy it.
+    """
+    q, k, n = g.q, g.k, g.n
+    f = g.field
+    add = f.add
+    # Each step adds a nonzero multiple of one row: only the row's nonzero
+    # entries change the codeword, and a systematic row has k - 1 zeros.
+    scaled = [
+        {s: [(j, f.mul(s, x)) for j, x in enumerate(row) if x] for s in range(1, q)}
+        for row in g.rows
+    ]
+    wrap_delta = f.sub(0, q - 1)
+    step_delta = [f.sub(d + 1, d) for d in range(q - 1)]
+    digits = [0] * k
+    cw = [0] * n
+    yield cw
+    for _ in range(q**k - 1):
+        i = k - 1
+        while digits[i] == q - 1:
+            for j, x in scaled[i][wrap_delta]:
+                cw[j] = add(cw[j], x)
+            digits[i] = 0
+            i -= 1
+        for j, x in scaled[i][step_delta[digits[i]]]:
+            cw[j] = add(cw[j], x)
+        digits[i] += 1
+        yield cw
 
 
 def min_distance(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) -> int:
-    """Minimum Hamming weight over the q^k - 1 nonzero codewords.
-
-    Walks the messages in rank order, updating the running codeword only
-    on the digits the base-q odometer changed.
-    """
-    q, k, n = g.q, g.k, g.n
-    total = q**k
+    """Minimum Hamming weight over the q^k - 1 nonzero codewords."""
+    total = g.q**g.k
     if total > budget:
         raise BudgetExceeded(
             f"min_distance needs {total} codewords, budget is {budget}",
             required=total,
             budget=budget,
         )
-    f = g.field
-    add = f.add
-    scaled = [
-        {s: tuple(f.mul(s, x) for x in row) for s in range(q)} for row in g.rows
-    ]
-    wrap_delta = f.sub(0, q - 1)
-    step_delta = [f.sub(d + 1, d) for d in range(q - 1)]
-    digits = [0] * k
-    cw = [0] * n
-    best = n + 1
-    for _ in range(total - 1):
-        i = k - 1
-        while digits[i] == q - 1:
-            row = scaled[i][wrap_delta]
-            for j in range(n):
-                cw[j] = add(cw[j], row[j])
-            digits[i] = 0
-            i -= 1
-        row = scaled[i][step_delta[digits[i]]]
-        for j in range(n):
-            cw[j] = add(cw[j], row[j])
-        digits[i] += 1
-        w = n - cw.count(0)
-        if w < best:
-            best = w
-    return best
+    n = g.n
+    return min(n - cw.count(0) for cw in islice(iter_codewords(g), 1, None))
 
 
 def summarize(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) -> CodeSummary:

@@ -5,16 +5,20 @@ A scheme maps a message u to the codeword (u, p(u)); it protects a
 function f against t symbol errors when every pair of messages with
 different f-values lands at codeword distance >= 2t+1.  Verification and
 decoding are exhaustive and budget-guarded: at desk scale the q^k
-codeword list is the ground truth, not an approximation.
+codeword list is the ground truth, not an approximation.  Both read the
+codewords in message-rank order from one enumeration (the odometer of
+``codes.iter_codewords`` for linear schemes); up to 65536 messages the
+list is built once and kept on the scheme as its codebook, past that it
+is streamed again on every scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import defaults
-from .codes import GeneratorMatrix
+from .codes import GeneratorMatrix, iter_codewords, linear_encode
 from .errors import (
     BeyondRadius,
     BudgetExceeded,
@@ -29,8 +33,10 @@ from .vectors import (
     iter_messages,
     message_rank,
     messages_by_weight,
-    unrank_message,
 )
+
+# Largest q^k whose codebook a scheme keeps.
+_CODEBOOK_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class FccScheme:
     stores one length-r parity vector per message rank.
     """
 
-    __slots__ = ("kind", "field", "q", "k", "r", "generator", "parity_table", "_cw_cache")
+    __slots__ = ("kind", "field", "q", "k", "r", "generator", "parity_table", "_codebook")
 
     def __init__(
         self,
@@ -129,7 +135,7 @@ class FccScheme:
         self.r = r
         self.generator = generator
         self.parity_table = parity_table
-        self._cw_cache: list[tuple[int, ...]] | None = None
+        self._codebook: list[tuple[int, ...]] | None = None
 
     @classmethod
     def linear(cls, generator: GeneratorMatrix) -> "FccScheme":
@@ -164,14 +170,7 @@ class FccScheme:
         u = check_vector(u, self.q, self.k, "message")
         if self.kind == "table":
             return self.parity_table[message_rank(u, self.q)]
-        f = self.field
-        out = [0] * self.r
-        for x, row in zip(u, self.generator.parity_columns()):
-            if x:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] = f.add(out[j], f.mul(x, y))
-        return tuple(out)
+        return linear_encode(self.generator, u)[self.k :]
 
     def __repr__(self) -> str:
         return f"FccScheme({self.kind}, q={self.q}, k={self.k}, r={self.r})"
@@ -202,10 +201,25 @@ def fcc_encode(scheme: FccScheme, u: Sequence[int]) -> tuple[int, ...]:
     return u + scheme.parity(u)
 
 
-def _all_parities(scheme: FccScheme) -> list[tuple[int, ...]]:
-    if scheme.kind == "table":
-        return list(scheme.parity_table)
-    return [scheme.parity(u) for u in iter_messages(scheme.q, scheme.k)]
+def _codewords(scheme: FccScheme) -> Iterable[Sequence[int]]:
+    """Codewords (u, p(u)) in message-rank order.
+
+    Up to _CODEBOOK_CAP messages this is the scheme's codebook, a list of
+    tuples built on first use.  Past the cap it is a fresh stream that is
+    not kept; for linear schemes it yields one list updated in place.
+    """
+    if scheme._codebook is not None:
+        return scheme._codebook
+    if scheme.kind == "linear":
+        stream: Iterable[Sequence[int]] = iter_codewords(scheme.generator)
+    else:
+        stream = (
+            u + p for u, p in zip(iter_messages(scheme.q, scheme.k), scheme.parity_table)
+        )
+    if scheme.q**scheme.k > _CODEBOOK_CAP:
+        return stream
+    scheme._codebook = [tuple(cw) for cw in stream]
+    return scheme._codebook
 
 
 def _check_compatible(scheme: FccScheme, f: FunctionTable) -> None:
@@ -225,63 +239,46 @@ def verify_fcc(
     """Check d(c(u), c(v)) >= 2t+1 for every pair with f(u) != f(v).
 
     Scans unordered pairs in lexicographic (rank, rank) order and reports
-    the first violation; pairs with equal labels are skipped unchecked.
+    the first violation; pairs with equal labels are skipped unchecked
+    and ``pairs_checked`` counts the others.  The budget bounds the
+    q^k (q^k - 1) / 2 message pairs.
     """
     _check_compatible(scheme, f)
     total = scheme.q**scheme.k
-    if total > budget:
+    pairs = total * (total - 1) // 2
+    if pairs > budget:
         raise BudgetExceeded(
-            f"verification needs {total} messages, budget is {budget}",
-            required=total,
+            f"verification needs {pairs} message pairs, budget is {budget}",
+            required=pairs,
             budget=budget,
         )
-    msgs = list(iter_messages(scheme.q, scheme.k))
+    k = scheme.k
+    # tuple() copies only past the codebook cap, where the stream reuses one list
+    words = [tuple(cw) for cw in _codewords(scheme)]
     labels = f.values
-    parities = _all_parities(scheme)
     need = 2 * t + 1
     checked = 0
     for i in range(total):
         li = labels[i]
-        mi = msgs[i]
-        pi = parities[i]
+        ci = words[i]
         for j in range(i + 1, total):
             if labels[j] == li:
                 continue
             checked += 1
             d = 0
-            for a, b in zip(mi, msgs[j]):
+            for a, b in zip(ci, words[j]):
                 if a != b:
                     d += 1
-            if d < need:
-                for a, b in zip(pi, parities[j]):
-                    if a != b:
-                        d += 1
-                        if d == need:
-                            break
+                    if d == need:
+                        break
             if d < need:
                 return VerificationResult(
                     ok=False,
-                    violating_pair=(mi, msgs[j]),
+                    violating_pair=(ci[:k], words[j][:k]),
                     distance=d,
                     pairs_checked=checked,
                 )
     return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
-
-
-def iter_scheme_codewords(scheme: FccScheme) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(rank, codeword) pairs in message-rank order, cached when small."""
-    if scheme._cw_cache is not None:
-        yield from enumerate(scheme._cw_cache)
-        return
-    total = scheme.q**scheme.k
-    cache: list[tuple[int, ...]] | None = [] if total <= 65536 else None
-    for rank, u in enumerate(iter_messages(scheme.q, scheme.k)):
-        cw = u + scheme.parity(u)
-        if cache is not None:
-            cache.append(cw)
-        yield rank, cw
-    if cache is not None:
-        scheme._cw_cache = cache
 
 
 def fcc_decode(
@@ -309,7 +306,7 @@ def fcc_decode(
         )
     best_rank = 0
     best_d = scheme.n + 1
-    for rank, cw in iter_scheme_codewords(scheme):
+    for rank, cw in enumerate(_codewords(scheme)):
         d = 0
         for a, b in zip(cw, y):
             if a != b:

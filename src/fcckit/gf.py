@@ -335,11 +335,6 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise InvalidOrder(f"no irreducible polynomial of degree {m} over F_{p}")  # pragma: no cover
 
 
-def field_make(q: int, modulus: Sequence[int] | None = None) -> Field:
-    """Build F_q with the canonical (or an explicitly given) modulus."""
-    return Field(q, modulus)
-
-
 class Polynomial:
     """Polynomial over a Field, coefficients lowest degree first."""
 

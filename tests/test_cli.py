@@ -135,6 +135,17 @@ class TestVerifySearch:
         )
         assert code == EXIT_OK
 
+    def test_verify_budget_counts_pairs_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bch.scheme"
+        run(capsys, "construct", "bch", "--k", "16", "--t", "3", "--out", str(path))
+        code, out, err = run(
+            capsys, "verify", "--in", str(path), "--function", "or",
+            "--q", "2", "--k", "16", "--t", "3",
+        )
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert "message pairs" in err
+
     def test_search_budget_exit_3(self, capsys):
         code, _, err = run(
             capsys, "search", "--function", "identity", "--q", "2", "--k", "3",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcckit.codes import (
     GeneratorMatrix,
-    codewords,
+    iter_codewords,
     linear_encode,
     min_distance,
     summarize,
@@ -181,7 +181,31 @@ def test_systematic_distance_dominates_message_distance(data):
 
 def test_codewords_enumerates_all():
     g = GeneratorMatrix(F2, [(1, 0, 1), (0, 1, 1)])
-    pairs = list(codewords(g))
-    assert len(pairs) == 4
-    assert pairs[0] == ((0, 0), (0, 0, 0))
-    assert len({cw for _, cw in pairs}) == 4
+    words = [tuple(cw) for cw in iter_codewords(g)]
+    assert words == [linear_encode(g, u) for u in iter_messages(2, 2)]
+    assert words[0] == (0, 0, 0)
+    assert len(set(words)) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_iter_codewords_matches_linear_encode(data):
+    # prime, 2^m and odd p^m fields: the odometer steps by field
+    # differences, which differ from index differences off the prime fields
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25]))
+    f = Field(q)
+    k = data.draw(st.integers(min_value=1, max_value=4 if q <= 3 else 2))
+    n = data.draw(st.integers(min_value=k, max_value=k + 3))
+    rows = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * n),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    try:
+        g = GeneratorMatrix(f, rows)
+    except RankDeficient:
+        return
+    got = [tuple(cw) for cw in iter_codewords(g)]
+    assert got == [linear_encode(g, u) for u in iter_messages(q, k)]

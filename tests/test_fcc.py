@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcckit.channel import enumerate_errors
-from fcckit.constructions import or_scheme, rs_systematic
+from fcckit.channel import enumerate_errors, inject
+from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import (
     BeyondRadius,
     BudgetExceeded,
@@ -164,6 +164,22 @@ class TestVerify:
         with pytest.raises(BudgetExceeded):
             verify_fcc(or_scheme(2, 3, 1), builtin_function("or", 2, 3), 1, budget=4)
 
+    def test_budget_counts_message_pairs(self):
+        s, f = or_scheme(2, 3, 1), builtin_function("or", 2, 3)
+        assert verify_fcc(s, f, 1, budget=28).ok  # 8 messages, 28 pairs
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_fcc(s, f, 1, budget=27)
+        assert exc.value.details["required"] == 28
+        assert "28 message pairs" in str(exc.value)
+
+    def test_budget_refuses_before_any_work(self):
+        # 2^16 messages are 2^31 - 2^15 pairs, far over the default budget
+        s = bch_systematic(16, 3).scheme
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_fcc(s, builtin_function("or", 2, 16), 3)
+        assert exc.value.details["required"] == 2**16 * (2**16 - 1) // 2
+        assert s._codebook is None
+
     def test_matches_naive_oracle_on_random_schemes(self):
         rng = random.Random(7)
         for _ in range(60):
@@ -283,6 +299,28 @@ class TestDecode:
                 y = tuple(field.add(a, b) for a, b in zip(cw, err.vector))
                 out = fcc_decode(scheme, f, 1, y)
                 assert out.label == f.label(u)
+
+    def test_exact_match_fills_codebook(self):
+        s = rs_systematic(13, 4, 3).scheme
+        f = builtin_function("identity", 13, 4)
+        y = fcc_encode(s, (12, 12, 12, 12))
+        out = fcc_decode(s, f, 3, y)
+        assert (out.label, out.distance) == (13**4 - 1, 0)
+        assert len(s._codebook) == 13**4
+        assert fcc_decode(s, f, 3, y) == out
+
+    def test_scheme_over_codebook_cap(self):
+        # 17^4 > 65536 messages: every decode streams the odometer's
+        # in-place list, and no codebook is kept
+        s = rs_systematic(17, 4, 2).scheme
+        f = builtin_function("identity", 17, 4)
+        rng = random.Random(20261018)
+        for weight in (0, 1, 2, 2):
+            u = tuple(rng.randrange(17) for _ in range(4))
+            y = inject(s.field, fcc_encode(s, u), weight, seed=rng)
+            out = fcc_decode(s, f, 2, y)
+            assert (out.label, out.distance) == (f.label(u), weight)
+        assert s._codebook is None
 
 
 class TestCriticalPair:

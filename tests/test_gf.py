@@ -17,7 +17,6 @@ from fcckit.gf import (
     Field,
     Polynomial,
     canonical_modulus,
-    field_make,
     lagrange_interpolate,
     minimal_poly,
     poly_eval,
@@ -33,21 +32,21 @@ def fields():
 
 class TestFieldMake:
     def test_prime_order(self):
-        f = field_make(7)
+        f = Field(7)
         assert (f.p, f.m) == (7, 1)
 
     def test_gf4_modulus(self):
-        f = field_make(4)
+        f = Field(4)
         assert (f.p, f.m) == (2, 2)
         assert f.modulus == (1, 1, 1)  # x^2 + x + 1
 
     def test_non_prime_power(self):
         with pytest.raises(InvalidOrder):
-            field_make(6)
+            Field(6)
         with pytest.raises(InvalidOrder):
-            field_make(12)
+            Field(12)
         with pytest.raises(InvalidOrder):
-            field_make(1)
+            Field(1)
 
     def test_canonical_moduli_reproduce_familiar_tables(self):
         assert Field(8).modulus == (1, 1, 0, 1)  # x^3 + x + 1
