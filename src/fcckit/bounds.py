@@ -3,7 +3,8 @@
 Logarithms are base 2 throughout.  Combinatorial sums use exact integer
 arithmetic; only the binary upper-bound formula is real-valued, and it
 is reported unrounded (plus a ceiling convenience) because the bound it
-states is strict.
+states is strict.  The constructive BCH redundancy is counted from
+2-cyclotomic cosets, so no bound builds a field or a construction.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import BoundUndefined, DimensionError
 from .gf import prime_power_split
+from .vectors import check_radius
 
 LOG2_E = math.log2(math.e)
 
@@ -21,8 +23,7 @@ def lower_bound(image_size: int, t: int) -> int:
     """2t for any function taking at least two values, else 0."""
     if image_size < 1:
         raise DimensionError(f"image size must be at least 1, got {image_size}")
-    if t < 0:
-        raise DimensionError(f"t must be non-negative, got {t}")
+    check_radius(t)
     return 0 if image_size == 1 else 2 * t
 
 
@@ -48,6 +49,37 @@ def bch_redundancy_bound(n: int, t: int) -> int:
     if t < 1:
         raise DimensionError(f"t must be at least 1, got {t}")
     return ((n + 1) ** t).bit_length() - 1
+
+
+def bch_extension_degree(k: int, t: int) -> int:
+    """Smallest m with 2^m - 1 >= k + m*t: the BCH length-selection rule."""
+    m = 2
+    while 2**m - 1 < k + m * t:
+        m += 1
+    return m
+
+
+def bch_redundancy(k: int, t: int) -> int:
+    """Redundancy of the shortened binary BCH code ``bch_systematic(k, t)``.
+
+    Its generator is the product of the distinct minimal polynomials of
+    alpha^1..alpha^2t over GF(2^m), and the minimal polynomial of alpha^i
+    has one root per element of the 2-cyclotomic coset of i mod 2^m - 1
+    (MacWilliams-Sloane, ch. 7).  So the degree is the size of the union
+    of those cosets, counted without building GF(2^m).
+    """
+    if k < 1:
+        raise DimensionError(f"k must be at least 1, got {k}")
+    if t < 1:
+        raise DimensionError(f"t must be at least 1, got {t}")
+    n = 2 ** bch_extension_degree(k, t) - 1
+    roots: set[int] = set()
+    for i in range(1, 2 * t + 1):
+        j = i
+        while j not in roots:
+            roots.add(j)
+            j = 2 * j % n
+    return len(roots)
 
 
 def hamming_ball_volume(n: int, t: int, q: int) -> int:
@@ -94,18 +126,15 @@ class BoundReport:
 
 def report(q: int, k: int, t: int, image_size: int = 2) -> BoundReport:
     """Assemble every applicable bound; construction-backed entries only
-    where the construction applies (BCH is binary-only)."""
+    where the construction applies (BCH is binary-only).  None of them
+    builds a code, so k may be far past the BCH construction's degree cap."""
     try:
         upper = upper_bound_binary(k, t)
         upper_ceil = math.ceil(upper)
     except BoundUndefined:
         upper = None
         upper_ceil = None
-    bch_r = None
-    if q == 2 and t >= 1:
-        from .constructions import bch_systematic
-
-        bch_r = bch_systematic(k, t).r
+    bch_r = bch_redundancy(k, t) if q == 2 and t >= 1 else None
     return BoundReport(
         q=q,
         k=k,

@@ -41,7 +41,7 @@ from .fcc import (
 )
 from .formats import parse_function_file, parse_scheme_file, serialize_scheme_file
 from .search import exact_redundancy
-from .vectors import unrank_message
+from .vectors import check_radius, unrank_message
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -85,9 +85,12 @@ def parse_function_spec(spec: str, q: int, k: int) -> FunctionTable:
     name, _, aux_text = spec.partition(":")
     aux = None
     if aux_text:
-        aux = tuple(int(tok) for tok in aux_text.split(","))
-        if name == "threshold":
-            aux = aux[0]
+        try:
+            aux = tuple(int(tok) for tok in aux_text.split(","))
+        except ValueError:
+            raise FormatError(
+                f"function spec {spec!r}: aux must be comma-separated integers", 1
+            ) from None
     return builtin_function(name, q, k, aux)
 
 
@@ -222,6 +225,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.infile)
     f = _load_function(args)
+    check_radius(args.t)
     budget = _resolve_budget(args.budget, defaults.ENUMERATION_BUDGET)
     rng = random.Random(args.seed)
     failures = 0
@@ -374,6 +378,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         functions=tuple(args.functions),
         node_budget=_resolve_budget(args.budget, defaults.SEARCH_NODE_BUDGET),
     )
+    # Reject a bad cell before the CSV header is written.
+    for t in spec.ts:
+        check_radius(t)
+    for q in spec.qs:
+        for k in spec.ks:
+            for fname in spec.functions:
+                parse_function_spec(fname, q, k)
     timer = None if args.no_timing else time.perf_counter
     rows = run_experiment_grid(spec, timer=timer)
     if args.out:

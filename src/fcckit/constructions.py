@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import defaults
+from .bounds import bch_extension_degree
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, DimensionError, FieldTooSmall
 from .fcc import FccScheme
@@ -86,15 +87,13 @@ def bch_systematic(
     codeword layout stays (message, parity).
     """
     _check_kt(k, t)
-    m = 2
-    while 2**m - 1 < k + m * t:
-        m += 1
-        if m > degree_cap:
-            raise BudgetExceeded(
-                f"BCH construction needs extension degree {m} > cap {degree_cap}",
-                degree=m,
-                cap=degree_cap,
-            )
+    m = bch_extension_degree(k, t)
+    if m > degree_cap:
+        raise BudgetExceeded(
+            f"BCH construction needs extension degree {m} > cap {degree_cap}",
+            degree=m,
+            cap=degree_cap,
+        )
     ext = Field(2**m)
     alpha = ext.primitive_element()
     f2 = Field(2)

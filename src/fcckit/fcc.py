@@ -4,17 +4,20 @@ distance-condition verifier, and the exhaustive function-value decoder.
 A scheme maps a message u to the codeword (u, p(u)); it protects a
 function f against t symbol errors when every pair of messages with
 different f-values lands at codeword distance >= 2t+1.  Verification and
-decoding are exhaustive and budget-guarded: at desk scale the q^k
-codeword list is the ground truth, not an approximation.  Both read the
-codewords in message-rank order from one enumeration (the odometer of
+decoding are exact and budget-guarded.  Both read the codewords in
+message-rank order from one enumeration (the odometer of
 ``codes.iter_codewords`` for linear schemes); up to 65536 messages the
 list is built once and kept on the scheme as its codebook, past that it
-is streamed again on every scan.
+is streamed again on every scan.  A linear scheme is verified from its
+codewords of weight at most 2t, since d(c(u), c(v)) = wt(c(v - u));
+a table scheme has no such structure and is verified pair by pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from . import defaults
@@ -28,11 +31,13 @@ from .errors import (
 )
 from .gf import Field, prime_power_split
 from .vectors import (
+    check_radius,
     check_vector,
     hamming_weight,
     iter_messages,
     message_rank,
-    messages_by_weight,
+    messages_of_weight,
+    unrank_message,
 )
 
 # Largest q^k whose codebook a scheme keeps.
@@ -238,12 +243,15 @@ def verify_fcc(
 ) -> VerificationResult:
     """Check d(c(u), c(v)) >= 2t+1 for every pair with f(u) != f(v).
 
-    Scans unordered pairs in lexicographic (rank, rank) order and reports
-    the first violation; pairs with equal labels are skipped unchecked
-    and ``pairs_checked`` counts the others.  The budget bounds the
-    q^k (q^k - 1) / 2 message pairs.
+    Reports the first violation in lexicographic (rank, rank) order;
+    ``pairs_checked`` counts the pairs with different labels up to and
+    including it, or all of them when the scheme passes.  A linear scheme
+    is checked from its nonzero codewords of weight below 2t+1, one pass
+    over the codebook; a table scheme compares every such pair.  Either
+    way the budget bounds the q^k (q^k - 1) / 2 message pairs.
     """
     _check_compatible(scheme, f)
+    check_radius(t)
     total = scheme.q**scheme.k
     pairs = total * (total - 1) // 2
     if pairs > budget:
@@ -252,11 +260,19 @@ def verify_fcc(
             required=pairs,
             budget=budget,
         )
+    if scheme.kind == "linear":
+        return _verify_linear(scheme, f.values, 2 * t + 1)
+    return _verify_pairs(scheme, f.values, 2 * t + 1)
+
+
+def _verify_pairs(
+    scheme: FccScheme, labels: Sequence[int], need: int
+) -> VerificationResult:
+    """Compare the codewords of every pair with different labels."""
+    total = scheme.q**scheme.k
     k = scheme.k
     # tuple() copies only past the codebook cap, where the stream reuses one list
     words = [tuple(cw) for cw in _codewords(scheme)]
-    labels = f.values
-    need = 2 * t + 1
     checked = 0
     for i in range(total):
         li = labels[i]
@@ -281,6 +297,66 @@ def verify_fcc(
     return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
 
 
+def _verify_linear(
+    scheme: FccScheme, labels: Sequence[int], need: int
+) -> VerificationResult:
+    """Pairwise verification of a linear scheme from its light codewords.
+
+    A pair (u, v) can fail only when v - u is the message part of a
+    nonzero codeword of weight below ``need``, and then its distance is
+    that weight.  With no such codeword every pair passes; otherwise each
+    message u in rank order looks up v = u + delta for every light delta.
+    """
+    q, k, n = scheme.q, scheme.k, scheme.n
+    total = q**k
+    light = [
+        (cw[:k], w)
+        for cw in islice(_codewords(scheme), 1, None)
+        if (w := n - cw.count(0)) < need
+    ]
+    counts = Counter(labels)
+    if not light:
+        differing = (total * total - sum(c * c for c in counts.values())) // 2
+        return VerificationResult(
+            ok=True, violating_pair=None, distance=None, pairs_checked=differing
+        )
+    # rank(u + delta) = rank(u) + sum over delta's support of table[u[c]]
+    field = scheme.field
+    tables: dict[tuple[int, int], list[int]] = {}
+    moves = []
+    for delta, w in light:
+        steps = []
+        for c, s in enumerate(delta):
+            if s:
+                if (c, s) not in tables:
+                    place = q ** (k - 1 - c)
+                    tables[c, s] = [(field.add(x, s) - x) * place for x in range(q)]
+                steps.append((c, tables[c, s]))
+        moves.append((steps, w))
+    seen: Counter[int] = Counter()
+    checked = 0  # pairs with different labels whose first message precedes u
+    for i, u in enumerate(iter_messages(q, k)):
+        li = labels[i]
+        best_j, best_w = total, 0
+        for steps, w in moves:
+            j = i
+            for c, table in steps:
+                j += table[u[c]]
+            if i < j < best_j and labels[j] != li:
+                best_j, best_w = j, w
+        if best_j < total:
+            checked += sum(1 for x in labels[i + 1 : best_j + 1] if x != li)
+            return VerificationResult(
+                ok=False,
+                violating_pair=(u, unrank_message(best_j, q, k)),
+                distance=best_w,
+                pairs_checked=checked,
+            )
+        seen[li] += 1
+        checked += total - 1 - i - (counts[li] - seen[li])
+    return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
+
+
 def fcc_decode(
     scheme: FccScheme,
     f: FunctionTable,
@@ -296,6 +372,7 @@ def fcc_decode(
     distance beyond t raises BeyondRadius instead of guessing.
     """
     _check_compatible(scheme, f)
+    check_radius(t)
     y = check_vector(y, scheme.q, scheme.n, "received vector")
     total = scheme.q**scheme.k
     if total > budget:
@@ -333,31 +410,34 @@ def find_critical_pair(
 
     Scans the weight shells outward from the all-zero message; a hit is
     guaranteed for every non-constant f because the shells chain any two
-    messages through single-coordinate steps.
+    messages through single-coordinate steps.  The shells are generated
+    lazily, so the scan stops as soon as it finds the pair.
     """
-    total = f.q**f.k
+    q, k = f.q, f.k
+    total = q**k
     if total > budget:
         raise BudgetExceeded(
             f"critical-pair scan needs {total} messages, budget is {budget}",
             required=total,
             budget=budget,
         )
-    seq = messages_by_weight(f.q, f.k)
-    pos = {u: i for i, u in enumerate(seq)}
-    for i, u in enumerate(seq):
-        lu = f.values[message_rank(u, f.q)]
-        best_j = None
-        for coord in range(f.k):
-            for val in range(f.q):
-                if val == u[coord]:
-                    continue
-                v = u[:coord] + (val,) + u[coord + 1 :]
-                j = pos[v]
-                if j > i and f.values[message_rank(v, f.q)] != lu:
-                    if best_j is None or j < best_j:
-                        best_j = j
-        if best_j is not None:
-            return u, seq[best_j]
+    values = f.values
+    places = [q ** (k - 1 - c) for c in range(k)]
+    # The partner of the first hit is one weight heavier: had u a partner
+    # of its own weight, differing from it where u has x != 0, then u with
+    # that symbol zeroed, earlier than both and adjacent to both, would
+    # have hit first.  Raising a zero symbol of u grows the rank least at
+    # the last coordinate, so the first partner found is the earliest.
+    for w in range(k + 1):
+        for u in messages_of_weight(q, k, w):
+            rank = message_rank(u, q)
+            label = values[rank]
+            for c in range(k - 1, -1, -1):
+                if u[c] == 0:
+                    for val in range(1, q):
+                        v = rank + val * places[c]
+                        if values[v] != label:
+                            return u, unrank_message(v, q, k)
     return None
 
 

@@ -17,7 +17,13 @@ from typing import Callable, Sequence
 from . import defaults
 from .errors import BudgetExceeded, DimensionError
 from .fcc import FccScheme, FunctionTable
-from .vectors import hamming_distance, message_rank, messages_by_weight, unrank_message
+from .vectors import (
+    check_radius,
+    hamming_distance,
+    message_rank,
+    messages_by_weight,
+    unrank_message,
+)
 
 
 def pair_requirement(
@@ -105,8 +111,7 @@ def exact_redundancy(
     A node is one candidate parity tried at one message; exceeding the
     node budget raises BudgetExceeded carrying the bounds proven so far.
     """
-    if t < 0:
-        raise DimensionError(f"t must be non-negative, got {t}")
+    check_radius(t)
     reqs = RequirementSet.build(f, t)
     total = f.q**f.k
     nodes = 0

@@ -42,9 +42,32 @@ def iter_messages(q: int, k: int) -> Iterator[tuple[int, ...]]:
     return product(range(q), repeat=k)
 
 
+def messages_of_weight(q: int, k: int, w: int) -> Iterator[tuple[int, ...]]:
+    """The messages of Hamming weight w in lexicographic order: one shell
+    of ``messages_by_weight``, generated lazily for scans that stop early
+    (sorting all q^k messages is faster when every shell is needed)."""
+    if k == 0:
+        if w == 0:
+            yield ()
+        return
+    if w < k:
+        for rest in messages_of_weight(q, k - 1, w):
+            yield (0,) + rest
+    if w > 0:
+        for x in range(1, q):
+            for rest in messages_of_weight(q, k - 1, w - 1):
+                yield (x,) + rest
+
+
 def messages_by_weight(q: int, k: int) -> list[tuple[int, ...]]:
     """All q^k messages sorted by (Hamming weight, lexicographic) order."""
     return sorted(iter_messages(q, k), key=lambda u: (hamming_weight(u), u))
+
+
+def check_radius(t: int) -> None:
+    """Reject a negative correction radius t."""
+    if t < 0:
+        raise DimensionError(f"t must be non-negative, got {t}")
 
 
 def check_vector(u: Sequence[int], q: int, length: int, what: str = "vector") -> tuple[int, ...]:

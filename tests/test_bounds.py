@@ -6,6 +6,8 @@ import pytest
 
 from fcckit.bounds import (
     LOG2_E,
+    bch_extension_degree,
+    bch_redundancy,
     bch_redundancy_bound,
     hamming_ball_volume,
     lower_bound,
@@ -145,6 +147,37 @@ class TestConstructiveConsistency:
                 assert bound > lower_bound(2, t)
 
 
+class TestBchRedundancy:
+    def test_matches_construction(self):
+        # The generator depends on k only through m, so one construction
+        # per (m, t) stands for every k that selects that m.
+        for t in range(1, 5):
+            built = {}
+            for k in range(1, 301):
+                m = bch_extension_degree(k, t)
+                if m not in built:
+                    built[m] = bch_systematic(k, t).r
+                assert bch_redundancy(k, t) == built[m], (k, t)
+
+    def test_extension_degree_rule(self):
+        for k in range(1, 301):
+            for t in range(1, 5):
+                m = bch_extension_degree(k, t)
+                assert 2**m - 1 >= k + m * t
+                assert m == 2 or 2 ** (m - 1) - 1 < k + (m - 1) * t
+
+    def test_past_the_construction_degree_cap(self):
+        # m = 21: the cosets of 1 and 2 mod 2^21 - 1 are one coset of size 21
+        assert bch_extension_degree(2_000_000, 1) == 21
+        assert bch_redundancy(2_000_000, 1) == 21
+
+    def test_validation(self):
+        with pytest.raises(DimensionError):
+            bch_redundancy(0, 1)
+        with pytest.raises(DimensionError):
+            bch_redundancy(5, 0)
+
+
 class TestReport:
     def test_binary_report_fields(self):
         rep = report(2, 16, 2)
@@ -160,6 +193,16 @@ class TestReport:
         assert rep.upper_is_conjectured
         assert rep.bch_constructive is None
         assert rep.mds_equality
+
+    def test_builds_no_construction(self, monkeypatch):
+        import fcckit.constructions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("report built a BCH code")
+
+        monkeypatch.setattr(fcckit.constructions, "bch_systematic", refuse)
+        assert report(2, 182, 3).bch_constructive == 24
+        assert report(2, 2_000_000, 1).bch_constructive == 21
 
     def test_undefined_upper(self):
         rep = report(2, 2, 2)

@@ -9,9 +9,11 @@ from fcckit.cli import (
     EXIT_OK,
     GridSpec,
     main,
+    parse_function_spec,
     parse_range_list,
     run_experiment_grid,
 )
+from fcckit.errors import FormatError
 from fcckit.formats import parse_scheme_file
 
 
@@ -183,6 +185,11 @@ class TestBoundsSimulate:
         assert len(lines) == 2
         assert lines[0].startswith("q,k,t,")
 
+    def test_bounds_past_bch_degree_cap(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--q", "2", "--k", "2000000", "--t", "1")
+        assert code == EXIT_OK
+        assert "bch_constructive  21" in out
+
     def test_bounds_conjectured_for_nonbinary(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "5", "--k", "3", "--t", "1")
         assert code == EXIT_OK
@@ -262,6 +269,15 @@ class TestGrid:
         assert "5,2,1,identity,2," in text
         assert ",true," in text  # mds_equality
 
+    def test_bad_cell_writes_nothing(self, capsys):
+        code, out, err = run(
+            capsys, "grid", "--q", "2", "--k", "2", "--t", "1",
+            "--functions", "or", "linear:x",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
     def test_budget_cells_recorded_not_fatal(self, capsys):
         code, out, _ = run(
             capsys, "grid", "--q", "2", "--k", "3", "--t", "1..2",
@@ -330,3 +346,44 @@ class TestErrorsAndParsing:
         )
         assert code == EXIT_OK
         assert out.startswith("r=")
+
+    def test_non_integer_aux_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--function", "linear:x", "--q", "2", "--k", "1",
+            "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "linear:x" in err
+        with pytest.raises(FormatError):
+            parse_function_spec("linear:x", 2, 1)
+
+    def test_threshold_extra_aux_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--function", "threshold:1,2", "--q", "2", "--k", "3",
+            "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert "threshold" in err
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("verify", ()),
+            ("decode", ("0", "0", "1", "1", "0")),
+            ("simulate", ("--trials", "5")),
+        ],
+    )
+    def test_negative_t_exit_2(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "or.scheme"
+        run(capsys, "construct", "or", "--q", "2", "--k", "3", "--t", "1",
+            "--out", str(path))
+        code, out, err = run(
+            capsys, command, "--in", str(path), "--function", "or",
+            "--q", "2", "--k", "3", "--t", "-1", *extra,
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: t must be non-negative, got -1\n"

@@ -28,7 +28,13 @@ from fcckit.fcc import (
     verify_fcc,
 )
 from fcckit.gf import Field
-from fcckit.vectors import hamming_distance, iter_messages, message_rank
+from fcckit.vectors import (
+    hamming_distance,
+    iter_messages,
+    message_rank,
+    messages_by_weight,
+    messages_of_weight,
+)
 
 
 class TestBuiltinFunctions:
@@ -118,12 +124,24 @@ class TestEncode:
 
 
 def naive_verify(scheme, f, t):
-    """Oracle: check every unordered pair directly on full codewords."""
-    words = [fcc_encode(scheme, u) for u in iter_messages(scheme.q, scheme.k)]
-    for (i, a), (j, b) in itertools.combinations(enumerate(words), 2):
-        if f.values[i] != f.values[j] and hamming_distance(a, b) < 2 * t + 1:
-            return False, (i, j)
-    return True, None
+    """Oracle: compare every unordered pair with different labels on full
+    codewords, in (rank, rank) order.  Returns (ok, violating pair,
+    distance, pairs checked) as ``verify_fcc`` reports them."""
+    messages = list(iter_messages(scheme.q, scheme.k))
+    words = [fcc_encode(scheme, u) for u in messages]
+    checked = 0
+    for i, j in itertools.combinations(range(len(words)), 2):
+        if f.values[i] == f.values[j]:
+            continue
+        checked += 1
+        d = hamming_distance(words[i], words[j])
+        if d < 2 * t + 1:
+            return False, (messages[i], messages[j]), d, checked
+    return True, None, None, checked
+
+
+def verdict(result):
+    return result.ok, result.violating_pair, result.distance, result.pairs_checked
 
 
 class TestVerify:
@@ -193,9 +211,35 @@ class TestVerify:
             values = tuple(rng.randrange(3) for _ in range(q**k))
             s = FccScheme.tabular(q, k, table)
             f = FunctionTable(q, k, values)
-            got = verify_fcc(s, f, t)
-            want_ok, _ = naive_verify(s, f, t)
-            assert got.ok == want_ok
+            assert verdict(verify_fcc(s, f, t)) == naive_verify(s, f, t)
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(DimensionError):
+            verify_fcc(or_scheme(2, 3, 1), builtin_function("or", 2, 3), -1)
+        with pytest.raises(DimensionError):
+            verify_fcc(rs_systematic(5, 2, 1).scheme, builtin_function("or", 5, 2), -1)
+
+    def test_linear_pass_past_codebook_cap(self):
+        # 17^4 > 65536 messages: the weight pass streams the odometer, and
+        # pairs_checked is the closed-form count of different-label pairs
+        s = rs_systematic(17, 4, 2).scheme
+        result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
+        assert verdict(result) == (True, None, None, 17**4 - 1)
+        assert s._codebook is None
+
+    def test_linear_failure_past_codebook_cap(self):
+        # d = 3 < 2t+1 = 5: the first violation pairs zero with the
+        # lowest-rank message whose codeword has weight below 5
+        s = rs_systematic(17, 4, 1).scheme
+        result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
+        rank, v = next(
+            (rank, v)
+            for rank, v in enumerate(iter_messages(17, 4))
+            if rank and sum(1 for x in fcc_encode(s, v) if x) < 5
+        )
+        want_d = sum(1 for x in fcc_encode(s, v) if x)
+        assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
+        assert s._codebook is None
 
     def test_equal_label_pairs_impose_nothing(self):
         # collapsing all labels to one value always verifies, whatever the parity
@@ -309,6 +353,11 @@ class TestDecode:
         assert len(s._codebook) == 13**4
         assert fcc_decode(s, f, 3, y) == out
 
+    def test_negative_t_rejected(self):
+        s = or_scheme(2, 3, 1)
+        with pytest.raises(DimensionError):
+            fcc_decode(s, builtin_function("or", 2, 3), -1, (0, 0, 0, 0, 0))
+
     def test_scheme_over_codebook_cap(self):
         # 17^4 > 65536 messages: every decode streams the odometer's
         # in-place list, and no codebook is kept
@@ -321,6 +370,17 @@ class TestDecode:
             out = fcc_decode(s, f, 2, y)
             assert (out.label, out.distance) == (f.label(u), weight)
         assert s._codebook is None
+
+
+def naive_critical_pair(f):
+    """Oracle: sort every message by (weight, lex) and take the first
+    message with a later distance-1 neighbour of another label."""
+    seq = sorted(iter_messages(f.q, f.k), key=lambda u: (sum(1 for x in u if x), u))
+    for i, u in enumerate(seq):
+        for v in seq[i + 1 :]:
+            if hamming_distance(u, v) == 1 and f.label(u) != f.label(v):
+                return u, v
+    return None
 
 
 class TestCriticalPair:
@@ -350,6 +410,24 @@ class TestCriticalPair:
                 assert hamming_distance(u, v) == 1
                 assert f.label(u) != f.label(v)
 
+    def test_weight_shells_concatenate_to_weight_order(self):
+        for q, k in [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2), (9, 2)]:
+            shells = [u for w in range(k + 1) for u in messages_of_weight(q, k, w)]
+            assert shells == messages_by_weight(q, k)
+
+    def test_matches_sorting_oracle(self):
+        rng = random.Random(2026)
+        for _ in range(80):
+            q = rng.choice([2, 3, 4, 5])
+            k = rng.randint(1, 4 if q < 4 else 3)
+            theta = rng.randint(0, k)
+            values = tuple(
+                0 if sum(1 for x in u if x) < theta else rng.randrange(2)
+                for u in iter_messages(q, k)
+            )
+            f = FunctionTable(q, k, values)
+            assert find_critical_pair(f) == naive_critical_pair(f)
+
     def test_none_iff_constant_all_256_functions(self):
         for mask in range(256):
             values = tuple((mask >> i) & 1 for i in range(8))
@@ -367,3 +445,28 @@ def test_systematic_prefix_property(data):
     u = data.draw(st.tuples(*[st.integers(0, q - 1)] * k))
     s = or_scheme(q, k, t)
     assert fcc_encode(s, u)[:k] == u
+
+
+# Fields: prime, 2^m and odd p^m, with k small enough for the pair oracle.
+_MAX_K = {2: 6, 3: 4, 4: 3, 5: 3, 7: 2, 8: 2, 9: 2}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_linear_verify_matches_pair_oracle(data):
+    q = data.draw(st.sampled_from(sorted(_MAX_K)))
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]))
+    r = data.draw(st.integers(min_value=0, max_value=3))  # short r: failures occur
+    t = data.draw(st.integers(min_value=0, max_value=2))
+    symbol = st.integers(0, q - 1)
+    rows = [
+        tuple(1 if j == i else 0 for j in range(k)) + data.draw(st.tuples(*[symbol] * r))
+        for i in range(k)
+    ]
+    s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+    n_labels = data.draw(st.sampled_from([1, 2, 3, q**k]))
+    values = tuple(
+        data.draw(st.lists(st.integers(0, n_labels - 1), min_size=q**k, max_size=q**k))
+    )
+    f = FunctionTable(q, k, values)
+    assert verdict(verify_fcc(s, f, t)) == naive_verify(s, f, t)
