@@ -311,15 +311,34 @@ def run_experiment_grid(
 ) -> Iterator[GridRow]:
     """Yield one row per (q, k, t, function) cell in grid-lex order.
 
-    Budget overruns in a cell are recorded in the row (exact_r None)
-    and never abort the sweep.  All semantic columns are deterministic;
-    pass timer=None to zero the seconds column for byte-stable output.
+    Every t and every (q, k, function) spec is checked here, before the
+    first row is made, so a bad cell raises at the call; each function
+    table is built once and shared by the cell's t values.  Budget
+    overruns in a cell are recorded in the row (exact_r None) and never
+    abort the sweep.  All semantic columns are deterministic; pass
+    timer=None to zero the seconds column for byte-stable output.
     """
+    for t in spec.ts:
+        check_radius(t)
+    tables = {
+        (q, k, fname): parse_function_spec(fname, q, k)
+        for q in spec.qs
+        for k in spec.ks
+        for fname in spec.functions
+    }
+    return _grid_rows(spec, tables, timer)
+
+
+def _grid_rows(
+    spec: GridSpec,
+    tables: dict[tuple[int, int, str], FunctionTable],
+    timer: Callable[[], float] | None,
+) -> Iterator[GridRow]:
     for q in spec.qs:
         for k in spec.ks:
             for t in spec.ts:
                 for fname in spec.functions:
-                    f = parse_function_spec(fname, q, k)
+                    f = tables[q, k, fname]
                     start = timer() if timer else 0.0
                     try:
                         result = exact_redundancy(f, t, budget=spec.node_budget)
@@ -378,14 +397,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         functions=tuple(args.functions),
         node_budget=_resolve_budget(args.budget, defaults.SEARCH_NODE_BUDGET),
     )
-    # Reject a bad cell before the CSV header is written.
-    for t in spec.ts:
-        check_radius(t)
-    for q in spec.qs:
-        for k in spec.ks:
-            for fname in spec.functions:
-                parse_function_spec(fname, q, k)
     timer = None if args.no_timing else time.perf_counter
+    # raises on a bad cell before the CSV header is written
     rows = run_experiment_grid(spec, timer=timer)
     if args.out:
         buf = io.StringIO()

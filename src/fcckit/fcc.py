@@ -8,9 +8,10 @@ decoding are exact and budget-guarded.  Both read the codewords in
 message-rank order from one enumeration (the odometer of
 ``codes.iter_codewords`` for linear schemes); up to 65536 messages the
 list is built once and kept on the scheme as its codebook, past that it
-is streamed again on every scan.  A linear scheme is verified from its
-codewords of weight at most 2t, since d(c(u), c(v)) = wt(c(v - u));
-a table scheme has no such structure and is verified pair by pair.
+is streamed again on every scan.  Since d(c(u), c(v)) = wt(c(v - u))
+for a linear scheme, one with no nonzero codeword of weight at most 2t
+passes without comparing pairs; a linear scheme that has one, and every
+table scheme, is verified pair by pair.
 """
 
 from __future__ import annotations
@@ -246,9 +247,10 @@ def verify_fcc(
     Reports the first violation in lexicographic (rank, rank) order;
     ``pairs_checked`` counts the pairs with different labels up to and
     including it, or all of them when the scheme passes.  A linear scheme
-    is checked from its nonzero codewords of weight below 2t+1, one pass
-    over the codebook; a table scheme compares every such pair.  Either
-    way the budget bounds the q^k (q^k - 1) / 2 message pairs.
+    with no nonzero codeword of weight below 2t+1 passes after one pass
+    over its codewords, and ``pairs_checked`` is counted from the label
+    counts; any other scheme compares every such pair.  Either way the
+    budget bounds the q^k (q^k - 1) / 2 message pairs.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -260,9 +262,14 @@ def verify_fcc(
             required=pairs,
             budget=budget,
         )
-    if scheme.kind == "linear":
-        return _verify_linear(scheme, f.values, 2 * t + 1)
-    return _verify_pairs(scheme, f.values, 2 * t + 1)
+    need = 2 * t + 1
+    if scheme.kind == "linear" and _light_free(scheme, need):
+        # d(c(u), c(v)) = wt(c(v - u)) >= need for every pair
+        differing = (total * total - sum(c * c for c in Counter(f.values).values())) // 2
+        return VerificationResult(
+            ok=True, violating_pair=None, distance=None, pairs_checked=differing
+        )
+    return _verify_pairs(scheme, f.values, need)
 
 
 def _verify_pairs(
@@ -297,64 +304,11 @@ def _verify_pairs(
     return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
 
 
-def _verify_linear(
-    scheme: FccScheme, labels: Sequence[int], need: int
-) -> VerificationResult:
-    """Pairwise verification of a linear scheme from its light codewords.
-
-    A pair (u, v) can fail only when v - u is the message part of a
-    nonzero codeword of weight below ``need``, and then its distance is
-    that weight.  With no such codeword every pair passes; otherwise each
-    message u in rank order looks up v = u + delta for every light delta.
-    """
-    q, k, n = scheme.q, scheme.k, scheme.n
-    total = q**k
-    light = [
-        (cw[:k], w)
-        for cw in islice(_codewords(scheme), 1, None)
-        if (w := n - cw.count(0)) < need
-    ]
-    counts = Counter(labels)
-    if not light:
-        differing = (total * total - sum(c * c for c in counts.values())) // 2
-        return VerificationResult(
-            ok=True, violating_pair=None, distance=None, pairs_checked=differing
-        )
-    # rank(u + delta) = rank(u) + sum over delta's support of table[u[c]]
-    field = scheme.field
-    tables: dict[tuple[int, int], list[int]] = {}
-    moves = []
-    for delta, w in light:
-        steps = []
-        for c, s in enumerate(delta):
-            if s:
-                if (c, s) not in tables:
-                    place = q ** (k - 1 - c)
-                    tables[c, s] = [(field.add(x, s) - x) * place for x in range(q)]
-                steps.append((c, tables[c, s]))
-        moves.append((steps, w))
-    seen: Counter[int] = Counter()
-    checked = 0  # pairs with different labels whose first message precedes u
-    for i, u in enumerate(iter_messages(q, k)):
-        li = labels[i]
-        best_j, best_w = total, 0
-        for steps, w in moves:
-            j = i
-            for c, table in steps:
-                j += table[u[c]]
-            if i < j < best_j and labels[j] != li:
-                best_j, best_w = j, w
-        if best_j < total:
-            checked += sum(1 for x in labels[i + 1 : best_j + 1] if x != li)
-            return VerificationResult(
-                ok=False,
-                violating_pair=(u, unrank_message(best_j, q, k)),
-                distance=best_w,
-                pairs_checked=checked,
-            )
-        seen[li] += 1
-        checked += total - 1 - i - (counts[li] - seen[li])
-    return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
+def _light_free(scheme: FccScheme, need: int) -> bool:
+    """True when no nonzero codeword of a linear scheme has weight below
+    ``need``; stops at the first that has."""
+    n = scheme.n
+    return all(n - cw.count(0) >= need for cw in islice(_codewords(scheme), 1, None))
 
 
 def fcc_decode(

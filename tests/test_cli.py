@@ -13,7 +13,7 @@ from fcckit.cli import (
     parse_range_list,
     run_experiment_grid,
 )
-from fcckit.errors import FormatError
+from fcckit.errors import DimensionError, FormatError
 from fcckit.formats import parse_scheme_file
 
 
@@ -277,6 +277,15 @@ class TestGrid:
         assert code == EXIT_FORMAT
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    def test_bad_cell_raises_at_call(self):
+        # checked before the first row, without iterating
+        with pytest.raises(FormatError):
+            run_experiment_grid(
+                GridSpec(qs=(2,), ks=(2,), ts=(1,), functions=("or", "linear:x"))
+            )
+        with pytest.raises(DimensionError):
+            run_experiment_grid(GridSpec(qs=(2,), ks=(2,), ts=(1, -1), functions=("or",)))
 
     def test_budget_cells_recorded_not_fatal(self, capsys):
         code, out, _ = run(
