@@ -259,7 +259,7 @@ class GridSpec:
     node_budget: int = defaults.SEARCH_NODE_BUDGET
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridRow:
     """One grid cell; exact_r is None when the search hit its budget."""
 

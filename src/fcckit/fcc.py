@@ -82,11 +82,14 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
 
     ``linear`` takes a length-k coefficient vector as aux and labels each
     message by the field index of the dot product; ``threshold`` takes an
-    integer aux and indicates Hamming weight >= aux.
+    integer aux and indicates Hamming weight >= aux.  The other families
+    take no aux, and one given to them is rejected.
     """
     prime_power_split(q)
     if k < 1:
         raise DimensionError(f"k must be at least 1, got {k}")
+    if aux is not None and name in ("or", "constant", "identity", "hamming_weight"):
+        raise DimensionError(f"{name} takes no aux")
     if name == "or":
         values = [0 if all(x == 0 for x in u) else 1 for u in iter_messages(q, k)]
     elif name == "constant":

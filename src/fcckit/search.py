@@ -7,12 +7,20 @@ function values the pair needs parity distance max(0, 2t+1 - d_H(u, v));
 r is grown from the largest such demand until a depth-first assignment
 succeeds.  Infeasibility at a given r is only ever claimed after the
 search tree is exhausted; running out of node budget raises instead.
+
+Parities are addressed by rank in [0, q^r), and a set of parities is an
+int bitmask over those ranks.  For each parity value a already assigned,
+the search builds once per r the masks far(a)[need] of the parities at
+distance >= need from a; the candidates open to a message are the AND of
+those masks over its demands, and the next candidate is the lowest set
+bit past the last one tried.  A node is one candidate parity at one
+message, so the candidates that bit scan skips count as nodes too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import defaults
 from .errors import BudgetExceeded, DimensionError
@@ -58,23 +66,41 @@ class RequirementSet:
 
     @classmethod
     def build(cls, f: FunctionTable, t: int) -> "RequirementSet":
-        order = tuple(messages_by_weight(f.q, f.k))
-        labels = [f.values[message_rank(u, f.q)] for u in order]
+        q, k = f.q, f.k
+        order = tuple(messages_by_weight(q, k))
+        labels = [f.values[message_rank(u, q)] for u in order]
+        # Each digit packed into a field of `width` bits: a field of the XOR
+        # is nonzero exactly where the digits differ, and OR-folding it onto
+        # its low bit lets one bit_count give the Hamming distance.
+        width = (q - 1).bit_length()
+        packed = [message_rank(u, 1 << width) for u in order]
+        low = message_rank((1,) * k, 1 << width)
+        folds = range(1, width)
+        full = 2 * t + 1
+        # A (j, need) entry recurs in many rows; rows share one tuple each.
+        shared: dict[int, tuple[int, int]] = {}
         demands = []
         d_max = 0
-        full = 2 * t + 1
-        for i, u in enumerate(order):
+        for i, (label, pu) in enumerate(zip(labels, packed)):
             row = []
             for j in range(i):
-                if labels[i] == labels[j]:
+                if labels[j] == label:
                     continue
-                need = full - hamming_distance(u, order[j])
+                x = pu ^ packed[j]
+                y = x
+                for s in folds:
+                    y |= x >> s
+                need = full - (y & low).bit_count()
                 if need > 0:
-                    row.append((j, need))
+                    key = j * full + need
+                    entry = shared.get(key)
+                    if entry is None:
+                        entry = shared[key] = (j, need)
+                    row.append(entry)
                     if need > d_max:
                         d_max = need
             demands.append(tuple(row))
-        return cls(q=f.q, k=f.k, t=t, order=order, demands=tuple(demands), d_max=d_max)
+        return cls(q=q, k=k, t=t, order=order, demands=tuple(demands), d_max=d_max)
 
 
 @dataclass(frozen=True)
@@ -92,12 +118,29 @@ class RedundancySearchResult:
         return FccScheme.tabular(self.q, self.k, self.witness)
 
 
-def _parity_metric(q: int, r: int) -> Callable[[int, int], int]:
-    """Hamming distance between parity vectors addressed by rank."""
-    if q == 2:
-        return lambda a, b: (a ^ b).bit_count()
-    digits = [unrank_message(i, q, r) for i in range(q**r)]
-    return lambda a, b: sum(1 for x, y in zip(digits[a], digits[b]) if x != y)
+def _digit_masks(q: int, r: int) -> list[list[int]]:
+    """``same[i][v]``: the bitmask over the q^r parity ranks whose digit i
+    (leftmost most significant) equals v.  Digit i is constant on runs of
+    q^(r-1-i) ranks that repeat with period q^(r-i)."""
+    ones = (1 << q**r) - 1
+    same = []
+    for i in range(r):
+        block = q ** (r - 1 - i)
+        tile = ones // ((1 << (q * block)) - 1)
+        run = (1 << block) - 1
+        same.append([(run << (v * block)) * tile for v in range(q)])
+    return same
+
+
+def _far_sets(same: list[list[int]], a: Sequence[int], top: int, ones: int) -> list[int]:
+    """``far[need]`` for need in 0..top: the parities at Hamming distance
+    >= need from the parity with digits ``a``, counted digit by digit."""
+    far = [ones] + [0] * top
+    for i, v in enumerate(a):
+        differ = ones ^ same[i][v]
+        for need in range(min(i + 1, top), 0, -1):
+            far[need] |= far[need - 1] & differ
+    return far
 
 
 def exact_redundancy(
@@ -108,56 +151,72 @@ def exact_redundancy(
     Messages are assigned parities in (weight, lex) order with the first
     parity pinned to the zero vector (translating every parity by a
     constant preserves all pairwise distances, so this loses nothing).
-    A node is one candidate parity tried at one message; exceeding the
-    node budget raises BudgetExceeded carrying the bounds proven so far.
+    The candidates open to a message are one bitset AND over its demands,
+    and the search takes them in rank order.  A node is one candidate
+    parity tried at one message, whether it is taken or ruled out by that
+    AND; exceeding the node budget raises BudgetExceeded carrying the
+    bounds proven so far.
     """
     check_radius(t)
     reqs = RequirementSet.build(f, t)
-    total = f.q**f.k
+    q = f.q
+    total = q**f.k
+    demands = reqs.demands
     nodes = 0
     infeasible: list[int] = []
     r = reqs.d_max
     while True:
-        size = f.q**r
-        dist = _parity_metric(f.q, r)
-        demands = reqs.demands
+        size = q**r
+        ones = (1 << size) - 1
+        same = _digit_masks(q, r)
+        far_of: dict[int, list[int]] = {}
         assigned = [0] * total
+        allowed = [0] * total
         next_cand = [0] * (total + 1)
         pos = 1
         while 1 <= pos < total:
-            row = demands[pos]
             cand = next_cand[pos]
-            advanced = False
-            while cand < size:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(
-                        f"redundancy search exceeded {budget} nodes at r = {r}",
-                        nodes=nodes,
-                        trying_r=r,
-                        proven_infeasible=tuple(infeasible),
-                        lower_bound=r,
-                    )
-                for j, need in row:
-                    if dist(cand, assigned[j]) < need:
+            if cand == 0:
+                mask = ones
+                for j, need in demands[pos]:
+                    a = assigned[j]
+                    far = far_of.get(a)
+                    if far is None:
+                        far = far_of[a] = _far_sets(same, unrank_message(a, q, r), reqs.d_max, ones)
+                    mask &= far[need]
+                    if not mask:
                         break
-                else:
-                    assigned[pos] = cand
-                    next_cand[pos] = cand + 1
-                    pos += 1
-                    next_cand[pos] = 0
-                    advanced = True
-                    break
-                cand += 1
-            if not advanced:
+                allowed[pos] = mask
+            rest = allowed[pos] >> cand
+            tried = (rest & -rest).bit_length() if rest else size - cand
+            if nodes + tried > budget:
+                raise BudgetExceeded(
+                    f"redundancy search exceeded {budget} nodes at r = {r}",
+                    nodes=budget + 1,
+                    trying_r=r,
+                    proven_infeasible=tuple(infeasible),
+                    lower_bound=r,
+                )
+            nodes += tried
+            if rest:
+                cand += tried
+                assigned[pos] = cand - 1
+                next_cand[pos] = cand
+                pos += 1
+                next_cand[pos] = 0
+            else:
                 next_cand[pos] = 0
                 pos -= 1
         if pos == total:
+            parities: dict[int, tuple[int, ...]] = {}
             witness: list[tuple[int, ...]] = [()] * total
-            for i, u in enumerate(reqs.order):
-                witness[message_rank(u, f.q)] = unrank_message(assigned[i], f.q, r)
+            for u, a in zip(reqs.order, assigned):
+                p = parities.get(a)
+                if p is None:
+                    p = parities[a] = unrank_message(a, q, r)
+                witness[message_rank(u, q)] = p
             return RedundancySearchResult(
-                q=f.q,
+                q=q,
                 k=f.k,
                 r=r,
                 witness=tuple(witness),

@@ -377,6 +377,20 @@ class TestErrorsAndParsing:
         assert out == ""
         assert "threshold" in err
 
+    @pytest.mark.parametrize("spec", ["or:5", "identity:1,2,3"])
+    def test_aux_on_aux_free_function_exit_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "or.scheme"
+        run(capsys, "construct", "or", "--q", "2", "--k", "3", "--t", "1",
+            "--out", str(path))
+        code, out, err = run(
+            capsys, "verify", "--in", str(path), "--function", spec,
+            "--q", "2", "--k", "3", "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert spec.partition(":")[0] in err
+
     @pytest.mark.parametrize(
         "command,extra",
         [

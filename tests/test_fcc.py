@@ -80,6 +80,9 @@ class TestBuiltinFunctions:
             builtin_function("linear", 3, 2)
         with pytest.raises(DimensionError):
             builtin_function("threshold", 2, 3)
+        for name in ("or", "constant", "identity", "hamming_weight"):
+            with pytest.raises(DimensionError):
+                builtin_function(name, 2, 3, aux=(5,))
 
     def test_table_length_enforced(self):
         with pytest.raises(DimensionError):

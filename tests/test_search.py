@@ -4,11 +4,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcckit.errors import BudgetExceeded, DimensionError
 from fcckit.fcc import FccScheme, FunctionTable, builtin_function, verify_fcc
 from fcckit.search import RequirementSet, exact_redundancy, pair_requirement
-from fcckit.vectors import hamming_distance, iter_messages
+from fcckit.vectors import (
+    hamming_distance,
+    iter_messages,
+    message_rank,
+    messages_by_weight,
+    unrank_message,
+)
 
 
 def brute_force_min_r(f: FunctionTable, t: int, r_cap: int = 4) -> int:
@@ -29,6 +36,92 @@ def brute_force_min_r(f: FunctionTable, t: int, r_cap: int = 4) -> int:
             ):
                 return r
     raise AssertionError(f"no assignment up to r = {r_cap}")
+
+
+def pairwise_requirements(f: FunctionTable, t: int):
+    """Oracle for RequirementSet.build: one hamming_distance call per pair."""
+    order = tuple(messages_by_weight(f.q, f.k))
+    labels = [f.values[message_rank(u, f.q)] for u in order]
+    demands = []
+    d_max = 0
+    for i, u in enumerate(order):
+        row = []
+        for j in range(i):
+            if labels[i] == labels[j]:
+                continue
+            need = 2 * t + 1 - hamming_distance(u, order[j])
+            if need > 0:
+                row.append((j, need))
+                d_max = max(d_max, need)
+        demands.append(tuple(row))
+    return order, tuple(demands), d_max
+
+
+def _parity_metric(q: int, r: int):
+    """Hamming distance between parity vectors addressed by rank."""
+    if q == 2:
+        return lambda a, b: (a ^ b).bit_count()
+    digits = [unrank_message(i, q, r) for i in range(q**r)]
+    return lambda a, b: sum(1 for x, y in zip(digits[a], digits[b]) if x != y)
+
+
+def loop_search(f: FunctionTable, t: int, budget: int):
+    """Oracle for exact_redundancy: the same depth-first search, checking
+    each candidate parity against each demand by a distance call.  Returns
+    (r, witness, nodes, infeasible) or raises the same BudgetExceeded."""
+    order, demands, r = pairwise_requirements(f, t)
+    total = f.q**f.k
+    nodes = 0
+    infeasible = []
+    while True:
+        size = f.q**r
+        dist = _parity_metric(f.q, r)
+        assigned = [0] * total
+        next_cand = [0] * (total + 1)
+        pos = 1
+        while 1 <= pos < total:
+            cand = next_cand[pos]
+            advanced = False
+            while cand < size:
+                nodes += 1
+                if nodes > budget:
+                    raise BudgetExceeded(
+                        f"redundancy search exceeded {budget} nodes at r = {r}",
+                        nodes=nodes,
+                        trying_r=r,
+                        proven_infeasible=tuple(infeasible),
+                        lower_bound=r,
+                    )
+                if all(dist(cand, assigned[j]) >= need for j, need in demands[pos]):
+                    assigned[pos] = cand
+                    next_cand[pos] = cand + 1
+                    pos += 1
+                    next_cand[pos] = 0
+                    advanced = True
+                    break
+                cand += 1
+            if not advanced:
+                next_cand[pos] = 0
+                pos -= 1
+        if pos == total:
+            witness = [()] * total
+            for u, a in zip(order, assigned):
+                witness[message_rank(u, f.q)] = unrank_message(a, f.q, r)
+            return r, tuple(witness), nodes, tuple(infeasible)
+        infeasible.append(r)
+        r += 1
+
+
+@st.composite
+def search_cells(draw):
+    """q in {2,3,4,5,7} (3, 5 and 7 leave spare bit patterns in a packed
+    digit), k <= 3, t <= 2 and random labels over up to four values."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(0, 2))
+    image = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.integers(0, image - 1), min_size=q**k, max_size=q**k))
+    return FunctionTable(q, k, tuple(labels)), t
 
 
 class TestPairRequirement:
@@ -153,3 +246,38 @@ class TestExactRedundancy:
         a = exact_redundancy(f, 1)
         b = exact_redundancy(f, 1)
         assert a == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(cell=search_cells())
+def test_requirements_match_pairwise_build(cell):
+    f, t = cell
+    reqs = RequirementSet.build(f, t)
+    assert (reqs.order, reqs.demands, reqs.d_max) == pairwise_requirements(f, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=search_cells(), budget=st.integers(20, 2 * 10**5))
+def test_search_matches_per_candidate_loop(cell, budget):
+    f, t = cell
+    try:
+        expected = loop_search(f, t, budget)
+    except BudgetExceeded as exc:
+        with pytest.raises(BudgetExceeded) as got:
+            exact_redundancy(f, t, budget=budget)
+        assert str(got.value) == str(exc)
+        assert got.value.details == exc.details
+    else:
+        res = exact_redundancy(f, t, budget=budget)
+        assert (res.r, res.witness, res.nodes, res.infeasible) == expected
+
+
+def test_identity_3_3_2_exhausts_default_budget_at_r5():
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_redundancy(builtin_function("identity", 3, 3), 2)
+    assert exc.value.details == {
+        "nodes": 2**22 + 1,
+        "trying_r": 5,
+        "proven_infeasible": (4,),
+        "lower_bound": 5,
+    }
