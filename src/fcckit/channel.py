@@ -70,6 +70,7 @@ def enumerate_errors(
             f"error enumeration needs {count} vectors, budget is {budget}",
             required=count,
             budget=budget,
+            unit="vectors",
         )
     for w in range(w_max + 1):
         for support in combinations(range(n), w):

@@ -33,7 +33,8 @@ class CodeSummary:
 
 
 class GeneratorMatrix:
-    """k x n generator over a Field; rows checked for full rank."""
+    """k x n generator over a Field; rows checked for full rank (by
+    elimination, unless the leading k x k block is the identity)."""
 
     __slots__ = ("field", "rows", "k", "n")
 
@@ -48,7 +49,8 @@ class GeneratorMatrix:
         self.rows = tuple(check_vector(row, field.q, n, "generator row") for row in rows)
         self.k = k
         self.n = n
-        if _rank(field, [list(r) for r in self.rows]) < k:
+        # an identity block already proves rank k
+        if not self.is_systematic() and _rank(field, [list(r) for r in self.rows]) < k:
             raise RankDeficient(f"generator rows are dependent (k={k}, n={n})")
 
     @property
@@ -57,11 +59,8 @@ class GeneratorMatrix:
 
     def is_systematic(self) -> bool:
         """True iff the leading k x k block is the identity."""
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.k)
-            for j in range(self.k)
-        )
+        k = self.k
+        return all(row[i] == 1 and row[:k].count(0) == k - 1 for i, row in enumerate(self.rows))
 
     def __repr__(self) -> str:
         return f"GeneratorMatrix([{self.n},{self.k}]_{self.q})"
@@ -143,6 +142,7 @@ def min_distance(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) 
             f"min_distance needs {total} codewords, budget is {budget}",
             required=total,
             budget=budget,
+            unit="codewords",
         )
     n = g.n
     return min(n - cw.count(0) for cw in islice(iter_codewords(g), 1, None))

@@ -10,6 +10,7 @@ with the bare-minimum 2t redundancy at any alphabet size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import defaults
 from .bounds import bch_extension_degree
@@ -32,8 +33,10 @@ class ConstructionReport:
     claimed_distance: int
     generator: GeneratorMatrix
 
-    @property
+    @cached_property
     def scheme(self) -> FccScheme:
+        """The linear scheme of ``generator``, built once so that its
+        codebook is filled once."""
         return FccScheme.linear(self.generator)
 
 
@@ -91,8 +94,9 @@ def bch_systematic(
     if m > degree_cap:
         raise BudgetExceeded(
             f"BCH construction needs extension degree {m} > cap {degree_cap}",
-            degree=m,
-            cap=degree_cap,
+            required=m,
+            budget=degree_cap,
+            unit="extension degree",
         )
     ext = Field(2**m)
     alpha = ext.primitive_element()
@@ -105,13 +109,20 @@ def bch_systematic(
             seen.add(mp.coeffs)
             g = g * mp
     r = g.degree
+    # Row i's parity is x^(r+i) mod g (over F_2, -1 = 1), as a bit mask with
+    # bit j for x^j.  Each remainder is the last one times x: an LFSR step
+    # that shifts up and reduces by g when the x^r bit comes out.
+    g_mask = sum(c << j for j, c in enumerate(g.coeffs))
+    top = 1 << r
+    rem = g_mask ^ top  # x^r mod g
+    zeros = (0,) * k
     rows = []
     for i in range(k):
-        rem = Polynomial(f2, (1,)).shift(r + i) % g
-        parity = [0] * r
-        for deg, c in enumerate(rem.coeffs):
-            parity[deg] = f2.neg(c)
-        rows.append(tuple(1 if j == i else 0 for j in range(k)) + tuple(parity))
+        parity = tuple((rem >> j) & 1 for j in range(r))
+        rows.append(zeros[:i] + (1,) + zeros[i + 1 :] + parity)
+        rem <<= 1
+        if rem & top:
+            rem ^= g_mask
     return ConstructionReport(
         name="bch_systematic",
         q=2,

@@ -76,7 +76,10 @@ class BudgetExceeded(FccError):
     """An enumeration or search outgrew its configured budget.
 
     ``details`` carries whatever partial knowledge the aborted computation
-    had (e.g. best-known redundancy bounds from a cut search).
+    had.  An enumeration refused up front gives ``required`` and
+    ``budget`` in one ``unit`` (``"codewords"``, ``"message pairs"``,
+    ``"messages"``, ``"vectors"`` or ``"extension degree"``); a cut search
+    gives its node count and best-known redundancy bounds.
     """
 
     def __init__(self, message: str, **details):

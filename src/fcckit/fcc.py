@@ -34,7 +34,6 @@ from .gf import Field, prime_power_split
 from .vectors import (
     check_radius,
     check_vector,
-    hamming_weight,
     iter_messages,
     message_rank,
     messages_of_weight,
@@ -83,40 +82,52 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
     ``linear`` takes a length-k coefficient vector as aux and labels each
     message by the field index of the dot product; ``threshold`` takes an
     integer aux and indicates Hamming weight >= aux.  The other families
-    take no aux, and one given to them is rejected.
+    take no aux, and one given to them is rejected.  ``hamming_weight``,
+    ``threshold`` and ``linear`` build their tables one digit at a time:
+    the table over k - 1 symbols, extended by every last digit d.
     """
     prime_power_split(q)
     if k < 1:
         raise DimensionError(f"k must be at least 1, got {k}")
     if aux is not None and name in ("or", "constant", "identity", "hamming_weight"):
         raise DimensionError(f"{name} takes no aux")
+    total = q**k
     if name == "or":
-        values = [0 if all(x == 0 for x in u) else 1 for u in iter_messages(q, k)]
+        values = [0] + [1] * (total - 1)
     elif name == "constant":
-        values = [0] * q**k
+        values = [0] * total
     elif name == "identity":
-        values = list(range(q**k))
+        values = range(total)
     elif name == "hamming_weight":
-        values = [hamming_weight(u) for u in iter_messages(q, k)]
+        values = _weight_table(q, k)
     elif name == "linear":
         if aux is None or len(tuple(aux)) != k:
             raise DimensionError(f"linear needs a length-{k} coefficient vector as aux")
         coeffs = check_vector(tuple(aux), q, k, "coefficient vector")
         f = Field(q)
-        values = []
-        for u in iter_messages(q, k):
-            acc = 0
-            for a, x in zip(coeffs, u):
-                acc = f.add(acc, f.mul(a, x))
-            values.append(acc)
+        values = [0]
+        for a in coeffs:
+            # append one digit d to every message: the dot product v becomes
+            # rows[v][d] = v + a*d
+            rows = [[f.add(v, f.mul(a, d)) for d in range(q)] for v in range(q)]
+            values = [x for v in values for x in rows[v]]
     elif name == "threshold":
         if aux is None or isinstance(aux, (tuple, list)) and len(aux) != 1:
             raise DimensionError("threshold needs a single integer aux")
         theta = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
-        values = [1 if hamming_weight(u) >= theta else 0 for u in iter_messages(q, k)]
+        values = [1 if w >= theta else 0 for w in _weight_table(q, k)]
     else:
         raise UnknownFunction(f"no built-in function named {name!r}")
     return FunctionTable(q=q, k=k, values=tuple(values))
+
+
+def _weight_table(q: int, k: int) -> list[int]:
+    """Hamming weight of every message of F_q^k in rank order, built digit
+    by digit: appending the digit d to a message adds (d != 0)."""
+    weights = [0]
+    for _ in range(k):
+        weights = [w + (d != 0) for w in weights for d in range(q)]
+    return weights
 
 
 class FccScheme:
@@ -264,6 +275,7 @@ def verify_fcc(
             f"verification needs {pairs} message pairs, budget is {budget}",
             required=pairs,
             budget=budget,
+            unit="message pairs",
         )
     need = 2 * t + 1
     if scheme.kind == "linear" and _light_free(scheme, need):
@@ -337,6 +349,7 @@ def fcc_decode(
             f"decoding needs {total} codewords, budget is {budget}",
             required=total,
             budget=budget,
+            unit="codewords",
         )
     best_rank = 0
     best_d = scheme.n + 1
@@ -377,6 +390,7 @@ def find_critical_pair(
             f"critical-pair scan needs {total} messages, budget is {budget}",
             required=total,
             budget=budget,
+            unit="messages",
         )
     values = f.values
     places = [q ** (k - 1 - c) for c in range(k)]

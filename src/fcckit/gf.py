@@ -8,6 +8,14 @@ is the monic irreducible polynomial of degree m whose index encoding is
 smallest, which reproduces the familiar tables (x^2+x+1 for GF(4),
 x^3+x+1 for GF(8), x^4+x+1 for GF(16), ...).
 
+Multiplication in an extension field goes through discrete-log tables
+built on first use.  Addition in F_{2^m} is XOR; in F_{p^m} with p odd it
+uses Zech logarithms from the same tables: with alpha primitive and
+Z(d) = log(1 + alpha^d), a + b = alpha^(log a + Z(log b - log a)) for
+nonzero a, b, and Z(d) is undefined exactly where 1 + alpha^d = 0, i.e. at
+d = (q-1)/2, since -1 = alpha^((q-1)/2).  Each Z(d) comes from one step
+of the index encoding: 1 + x raises only the constant coefficient.
+
 Polynomials are stored lowest-degree-first with no trailing zero
 coefficients; the zero polynomial has empty coefficients and degree -inf.
 """
@@ -84,7 +92,7 @@ class Field:
     immutable after construction and safe to share between threads.
     """
 
-    __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_exp", "_log", "_primitive")
+    __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_exp", "_log", "_zech", "_primitive")
 
     def __init__(self, q: int, modulus: Sequence[int] | None = None):
         p, m = prime_power_split(q)
@@ -105,6 +113,7 @@ class Field:
         self._mod_mask = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         self._primitive: int | None = None
 
     # -- identity ------------------------------------------------------
@@ -159,16 +168,27 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.from_coeffs(
-            (x + y) % self.p for x, y in zip(self.coeffs(a), self.coeffs(b))
-        )
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        if self._zech is None:
+            self._build_tables()
+        log = self._log
+        order = self.q - 1
+        la = log[a]
+        z = self._zech[(log[b] - la) % order]
+        return 0 if z < 0 else self._exp[(la + z) % order]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        return self.from_coeffs((-x) % self.p for x in self.coeffs(a))
+        if self._zech is None:
+            self._build_tables()
+        order = self.q - 1
+        return self._exp[(self._log[a] + order // 2) % order]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -283,9 +303,21 @@ class Field:
             exp[i] = val
             log[val] = i
             val = self._mul_raw(val, g)
-        # _exp is the readiness gate for concurrent readers: set it last
+        zech = None
+        if self.p != 2:
+            # 1 + alpha^i raises the constant coefficient, the low base-p
+            # digit of the index; -1 where that sum is 0.
+            p = self.p
+            zech = [-1] * target
+            for i, e in enumerate(exp):
+                s = e - e % p + (e + 1) % p
+                if s:
+                    zech[i] = log[s]
+        # _exp gates mul and inv, _zech gates odd-p add and neg, for
+        # concurrent readers: set them last
         self._log = log
         self._exp = exp
+        self._zech = zech
         if self._primitive is None:
             self._primitive = g
 

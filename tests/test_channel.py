@@ -95,8 +95,10 @@ class TestEnumerateErrors:
         assert keys == sorted(keys)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             list(enumerate_errors(8, 3, 5, budget=100))
+        assert str(exc.value) == "error enumeration needs 4065 vectors, budget is 100"
+        assert exc.value.details == {"required": 4065, "budget": 100, "unit": "vectors"}
 
     def test_validation(self):
         with pytest.raises(DimensionError):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fcckit import codes
 from fcckit.codes import (
     GeneratorMatrix,
     iter_codewords,
@@ -62,6 +63,25 @@ class TestConstruction:
         with pytest.raises(RankDeficient):
             GeneratorMatrix(Field(3), [(1, 2, 0), (2, 1, 0), (0, 0, 1)])
 
+    def test_identity_block_skips_elimination(self, monkeypatch):
+        def no_elimination(field, rows):
+            raise AssertionError("an [I_k | P] generator needs no elimination")
+
+        monkeypatch.setattr(codes, "_rank", no_elimination)
+        g = GeneratorMatrix(Field(3), [(1, 0, 2, 1), (0, 1, 1, 1)])
+        assert g.is_systematic()
+
+    def test_other_rows_keep_elimination(self, monkeypatch):
+        calls = []
+        rank = codes._rank
+        monkeypatch.setattr(codes, "_rank", lambda f, rows: calls.append(1) or rank(f, rows))
+        GeneratorMatrix(Field(3), [(0, 1, 1), (1, 0, 2)])  # full rank, not systematic
+        with pytest.raises(RankDeficient):
+            GeneratorMatrix(Field(3), [(1, 2, 0), (2, 1, 0)])  # row 2 = 2 * row 1
+        with pytest.raises(RankDeficient):
+            GeneratorMatrix(F2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])  # near-identity, dependent
+        assert len(calls) == 3
+
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionError):
             GeneratorMatrix(F2, [(1, 0), (0, 1), (1, 1)])
@@ -88,8 +108,10 @@ class TestMinDistance:
 
     def test_budget_exceeded(self):
         g = GeneratorMatrix(F2, HAMMING_74_ROWS)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             min_distance(g, budget=15)
+        assert str(exc.value) == "min_distance needs 16 codewords, budget is 15"
+        assert exc.value.details == {"required": 16, "budget": 15, "unit": "codewords"}
 
     def test_matches_oracle_on_random_codes(self):
         import random

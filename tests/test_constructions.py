@@ -5,8 +5,8 @@ import pytest
 from fcckit.codes import min_distance, summarize
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, FieldTooSmall, InvalidOrder
-from fcckit.fcc import builtin_function, fcc_encode, verify_fcc
-from fcckit.gf import Field
+from fcckit.fcc import builtin_function, fcc_decode, fcc_encode, verify_fcc
+from fcckit.gf import Field, Polynomial, minimal_poly
 from fcckit.vectors import hamming_distance
 
 
@@ -16,6 +16,28 @@ def bch_extension_degree(k: int, t: int) -> int:
     while 2**m - 1 < k + m * t:
         m += 1
     return m
+
+
+def division_bch_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the rows [e_i | x^(r+i) mod g] of bch_systematic, each
+    remainder by its own long division over F_2 (polynomials as bit masks,
+    bit j for x^j), with g the product of the distinct minimal polynomials
+    of alpha^1..alpha^2t."""
+    ext = Field(2 ** bch_extension_degree(k, t))
+    alpha = ext.primitive_element()
+    g = Polynomial(Field(2), (1,))
+    for mp in {minimal_poly(ext, ext.pow(alpha, i), 2) for i in range(1, 2 * t + 1)}:
+        g = g * mp
+    r = g.degree
+    g_mask = sum(c << j for j, c in enumerate(g.coeffs))
+    rows = []
+    for i in range(k):
+        rem = 1 << (r + i)
+        while rem.bit_length() > r:
+            rem ^= g_mask << (rem.bit_length() - 1 - r)
+        unit = tuple(1 if j == i else 0 for j in range(k))
+        rows.append(unit + tuple((rem >> j) & 1 for j in range(r)))
+    return tuple(rows)
 
 
 class TestRsSystematic:
@@ -77,8 +99,23 @@ class TestBchSystematic:
         assert min_distance(rep.generator) == 3
 
     def test_degree_cap(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as exc:
             bch_systematic(100, 3, degree_cap=6)
+        assert str(exc.value) == "BCH construction needs extension degree 7 > cap 6"
+        assert exc.value.details == {"required": 7, "budget": 6, "unit": "extension degree"}
+
+    def test_generators_match_division_oracle(self):
+        # Row i depends on k only through m (which fixes g), so the least
+        # and the largest k <= 300 of each (m, t) stand for the others.
+        for t in range(1, 5):
+            ks: dict[int, list[int]] = {}
+            for k in range(1, 301):
+                ks.setdefault(bch_extension_degree(k, t), []).append(k)
+            for group in ks.values():
+                for k in {group[0], group[-1]}:
+                    rep = bch_systematic(k, t)
+                    assert rep.generator.rows == division_bch_rows(k, t), (k, t)
+                    assert rep.r == rep.n - k == len(rep.generator.rows[0]) - k
 
     @pytest.mark.parametrize("k,t", [(1, 1), (4, 1), (7, 1), (5, 2), (3, 2), (2, 3)])
     def test_redundancy_within_mt_and_distance_designed(self, k, t):
@@ -88,6 +125,20 @@ class TestBchSystematic:
         assert rep.n == k + rep.r
         assert rep.generator.is_systematic()
         assert min_distance(rep.generator) >= 2 * t + 1
+
+
+class TestReportScheme:
+    def test_one_scheme_per_report(self):
+        report = rs_systematic(7, 3, 2)
+        assert report.scheme is report.scheme
+
+    def test_filled_codebook_survives_second_access(self):
+        report = rs_systematic(9, 3, 2)
+        f = builtin_function("identity", 9, 3)
+        fcc_decode(report.scheme, f, 2, (0,) * 7, strict=False)
+        book = report.scheme._codebook
+        assert book is not None and len(book) == 9**3
+        assert report.scheme._codebook is book
 
 
 class TestOrScheme:

@@ -18,6 +18,7 @@ from fcckit.errors import (
 )
 from fcckit.codes import GeneratorMatrix
 from fcckit.fcc import (
+    BUILTIN_NAMES,
     FccScheme,
     FunctionTable,
     builtin_function,
@@ -30,6 +31,7 @@ from fcckit.fcc import (
 from fcckit.gf import Field
 from fcckit.vectors import (
     hamming_distance,
+    hamming_weight,
     iter_messages,
     message_rank,
     messages_by_weight,
@@ -87,6 +89,50 @@ class TestBuiltinFunctions:
     def test_table_length_enforced(self):
         with pytest.raises(DimensionError):
             FunctionTable(2, 2, (0, 1, 1))
+
+
+def loop_builtin_function(name, q, k, aux=None):
+    """Oracle: the function table built by one Python loop per message."""
+    messages = iter_messages(q, k)
+    if name == "or":
+        return tuple(0 if all(x == 0 for x in u) else 1 for u in messages)
+    if name == "constant":
+        return (0,) * q**k
+    if name == "identity":
+        return tuple(range(q**k))
+    if name == "hamming_weight":
+        return tuple(hamming_weight(u) for u in messages)
+    if name == "linear":
+        f = Field(q)
+        values = []
+        for u in messages:
+            acc = 0
+            for a, x in zip(aux, u):
+                acc = f.add(acc, f.mul(a, x))
+            values.append(acc)
+        return tuple(values)
+    theta = aux[0] if isinstance(aux, tuple) else aux
+    return tuple(1 if hamming_weight(u) >= theta else 0 for u in messages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
+    k=st.integers(min_value=1, max_value=4),
+    name=st.sampled_from(BUILTIN_NAMES),
+    data=st.data(),
+)
+def test_builtin_function_matches_per_message_loops(q, k, name, data):
+    aux = None
+    if name == "linear":
+        aux = tuple(
+            data.draw(st.lists(st.integers(0, q - 1), min_size=k, max_size=k), label="coeffs")
+        )
+    elif name == "threshold":
+        theta = data.draw(st.integers(-1, k + 1), label="theta")
+        aux = data.draw(st.sampled_from((theta, (theta,))), label="aux")
+    got = builtin_function(name, q, k, aux)
+    assert got.values == loop_builtin_function(name, q, k, aux)
 
 
 class TestSchemeConstruction:
@@ -190,7 +236,7 @@ class TestVerify:
         assert verify_fcc(s, f, 1, budget=28).ok  # 8 messages, 28 pairs
         with pytest.raises(BudgetExceeded) as exc:
             verify_fcc(s, f, 1, budget=27)
-        assert exc.value.details["required"] == 28
+        assert exc.value.details == {"required": 28, "budget": 27, "unit": "message pairs"}
         assert "28 message pairs" in str(exc.value)
 
     def test_budget_refuses_before_any_work(self):
@@ -278,6 +324,13 @@ class TestVerify:
 
 
 class TestDecode:
+    def test_budget_details_shape(self):
+        s, f = or_scheme(2, 3, 1), builtin_function("or", 2, 3)
+        with pytest.raises(BudgetExceeded) as exc:
+            fcc_decode(s, f, 1, (0,) * 5, budget=7)
+        assert str(exc.value) == "decoding needs 8 codewords, budget is 7"
+        assert exc.value.details == {"required": 8, "budget": 7, "unit": "codewords"}
+
     def test_flip_within_radius(self):
         s = or_scheme(2, 3, 1)
         f = builtin_function("or", 2, 3)
@@ -387,6 +440,12 @@ def naive_critical_pair(f):
 
 
 class TestCriticalPair:
+    def test_budget_details_shape(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            find_critical_pair(builtin_function("or", 2, 3), budget=7)
+        assert str(exc.value) == "critical-pair scan needs 8 messages, budget is 7"
+        assert exc.value.details == {"required": 8, "budget": 7, "unit": "messages"}
+
     def test_or_example(self):
         f = builtin_function("or", 2, 3)
         assert find_critical_pair(f) == ((0, 0, 0), (0, 0, 1))

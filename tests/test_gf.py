@@ -133,6 +133,44 @@ class TestArithmetic:
             Field(4).check(4)
 
 
+ODD_PM_ORDERS = (9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 343)
+
+
+def coeff_add(f: Field, a: int, b: int) -> int:
+    """Oracle: add coefficient by coefficient over F_p."""
+    return f.from_coeffs((x + y) % f.p for x, y in zip(f.coeffs(a), f.coeffs(b)))
+
+
+def coeff_neg(f: Field, a: int) -> int:
+    """Oracle: negate coefficient by coefficient over F_p."""
+    return f.from_coeffs((-x) % f.p for x in f.coeffs(a))
+
+
+class TestZechAddition:
+    @pytest.mark.parametrize(
+        "field",
+        [Field(q) for q in ODD_PM_ORDERS]
+        # x^2 + x + 2 and x^3 + 2x + 2: irreducible, not the canonical moduli
+        + [Field(9, modulus=[2, 1, 1]), Field(27, modulus=[2, 2, 0, 1])],
+        ids=repr,
+    )
+    def test_matches_coefficient_formulas(self, field):
+        q = field.q
+        neg = [coeff_neg(field, a) for a in range(q)]
+        for a in range(q):
+            assert field.neg(a) == neg[a]
+            for b in range(q):
+                s = coeff_add(field, a, b)
+                assert field.add(a, b) == s
+                assert field.sub(s, b) == a
+
+    def test_add_before_any_mul(self):
+        # the Zech table is built on first use by add as well as by mul
+        f = Field(49)
+        assert f.add(1, 48) == coeff_add(f, 1, 48)
+        assert Field(49).neg(8) == coeff_neg(f, 8)
+
+
 class TestPolyEval:
     def test_root(self):
         f5 = Field(5)
