@@ -1,17 +1,23 @@
 """Generic linear-code machinery over F_q.
 
-A code is given by a full-rank k x n generator matrix.  Its q^k
-codewords are enumerated in one place, ``iter_codewords``: a base-q
-odometer over the messages that updates the running codeword only on the
-digits that changed.  Minimum distance is the minimum nonzero codeword
-weight over that stream, by linearity; it refuses to start when q^k
+A code is given by a full-rank k x n generator matrix.  Its codewords
+are walked in two orders.  ``iter_codewords`` yields all q^k of them in
+message-rank order: a base-q odometer over the messages that updates the
+running codeword only on the digits that changed.  It serves the readers
+that need the rank of each codeword (the decoder, the pair scan and the
+codebook).  ``iter_projective_shells`` yields one codeword of every
+nonzero projective class, from a reduced row-echelon generator, by the
+Hamming weight w of its message on the pivot columns; a codeword weighs
+at least w there, so a reader looking for light codewords can stop after
+a few shells.  Minimum distance reads the shells, by linearity (c and
+a*c have the same weight for every a != 0); it refuses to start when q^k
 exceeds the budget rather than falling back to sampling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import defaults
@@ -67,6 +73,8 @@ class GeneratorMatrix:
 
 
 def _rank(field: Field, rows: list[list[int]]) -> int:
+    """Gauss-Jordan elimination in place; returns the rank, and leaves
+    rows[:rank] in reduced row-echelon form."""
     rank = 0
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
@@ -105,7 +113,8 @@ def iter_codewords(g: GeneratorMatrix) -> Iterator[list[int]]:
     Walks the messages with a base-q odometer, updating the running
     codeword only on the digits it changed.  The same list is yielded
     every time and updated in place, so a consumer that keeps a codeword
-    must copy it.
+    must copy it.  For readers that need each codeword's rank; a reader
+    that needs only weights walks ``iter_projective_shells``.
     """
     q, k, n = g.q, g.k, g.n
     f = g.field
@@ -134,8 +143,60 @@ def iter_codewords(g: GeneratorMatrix) -> Iterator[list[int]]:
         yield cw
 
 
+def iter_projective_shells(g: GeneratorMatrix) -> Iterator[tuple[int, list[int]]]:
+    """One codeword of every nonzero projective class, as (w, codeword)
+    pairs in shells of message weight w = 1, 2, ..., k.
+
+    G is first brought to reduced row-echelon form, so a codeword's
+    restriction to the k pivot columns is its message and the codeword
+    weighs at least w.  Only messages whose first nonzero symbol is 1 are
+    walked: every other nonzero codeword is a nonzero multiple of one of
+    these, with the same weight.  That is (q^k - 1) / (q - 1) codewords
+    in all.  Within a support the codeword is stepped by an odometer over
+    the nonzero symbols after the first, updating one list in place from
+    scaled rows, so a consumer that keeps a codeword must copy it.
+    """
+    q, k, n = g.q, g.k, g.n
+    f = g.field
+    add = f.add
+    rows = [list(row) for row in g.rows]
+    _rank(f, rows)
+    scaled = [
+        {s: [(j, f.mul(s, x)) for j, x in enumerate(row) if x] for s in range(1, q)}
+        for row in rows
+    ]
+    wrap_delta = f.sub(1, q - 1)
+    step_delta = [f.sub(d + 1, d) for d in range(q - 1)]
+    for w in range(1, k + 1):
+        steps = (q - 1) ** (w - 1) - 1
+        for support in combinations(range(k), w):
+            cw = [0] * n
+            for i in support:
+                for j, x in scaled[i][1]:
+                    cw[j] = add(cw[j], x)
+            yield w, cw
+            rest = [scaled[i] for i in support[1:]]
+            digits = [1] * (w - 1)
+            for _ in range(steps):
+                i = w - 2
+                while digits[i] == q - 1:
+                    for j, x in rest[i][wrap_delta]:
+                        cw[j] = add(cw[j], x)
+                    digits[i] = 1
+                    i -= 1
+                for j, x in rest[i][step_delta[digits[i]]]:
+                    cw[j] = add(cw[j], x)
+                digits[i] += 1
+                yield w, cw
+
+
 def min_distance(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) -> int:
-    """Minimum Hamming weight over the q^k - 1 nonzero codewords."""
+    """Minimum Hamming weight over the q^k - 1 nonzero codewords.
+
+    Reads ``iter_projective_shells`` and stops at shell w once the best
+    weight found is at most w, since every codeword not yet seen weighs
+    at least w.  The budget still counts all q^k codewords.
+    """
     total = g.q**g.k
     if total > budget:
         raise BudgetExceeded(
@@ -145,7 +206,14 @@ def min_distance(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) 
             unit="codewords",
         )
     n = g.n
-    return min(n - cw.count(0) for cw in islice(iter_codewords(g), 1, None))
+    best = n + 1
+    for w, cw in iter_projective_shells(g):
+        if best <= w:
+            break
+        weight = n - cw.count(0)
+        if weight < best:
+            best = weight
+    return best
 
 
 def summarize(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) -> CodeSummary:

@@ -4,25 +4,26 @@ distance-condition verifier, and the exhaustive function-value decoder.
 A scheme maps a message u to the codeword (u, p(u)); it protects a
 function f against t symbol errors when every pair of messages with
 different f-values lands at codeword distance >= 2t+1.  Verification and
-decoding are exact and budget-guarded.  Both read the codewords in
-message-rank order from one enumeration (the odometer of
-``codes.iter_codewords`` for linear schemes); up to 65536 messages the
-list is built once and kept on the scheme as its codebook, past that it
-is streamed again on every scan.  Since d(c(u), c(v)) = wt(c(v - u))
-for a linear scheme, one with no nonzero codeword of weight at most 2t
-passes without comparing pairs; a linear scheme that has one, and every
-table scheme, is verified pair by pair.
+decoding are exact and budget-guarded.  The decoder and the pair scan
+read the codewords in message-rank order from one enumeration (the
+odometer of ``codes.iter_codewords`` for linear schemes); up to 65536
+messages the list is built once and kept on the scheme as its codebook,
+past that it is streamed again on every scan.  Since d(c(u), c(v)) =
+wt(c(v - u)) for a linear scheme, one with no nonzero codeword of weight
+at most 2t passes without comparing pairs.  That check reads the
+projective weight shells of ``codes.iter_projective_shells`` up to shell
+2t, never the codebook.  A linear scheme that has such a codeword, and
+every table scheme, is verified pair by pair.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 from . import defaults
-from .codes import GeneratorMatrix, iter_codewords, linear_encode
+from .codes import GeneratorMatrix, iter_codewords, iter_projective_shells, linear_encode
 from .errors import (
     BeyondRadius,
     BudgetExceeded,
@@ -261,10 +262,11 @@ def verify_fcc(
     Reports the first violation in lexicographic (rank, rank) order;
     ``pairs_checked`` counts the pairs with different labels up to and
     including it, or all of them when the scheme passes.  A linear scheme
-    with no nonzero codeword of weight below 2t+1 passes after one pass
-    over its codewords, and ``pairs_checked`` is counted from the label
-    counts; any other scheme compares every such pair.  Either way the
-    budget bounds the q^k (q^k - 1) / 2 message pairs.
+    with no nonzero codeword of weight below 2t+1 passes after a walk of
+    its projective weight shells up to shell 2t, without reading the
+    codebook, and ``pairs_checked`` is counted from the label counts; any
+    other scheme compares every such pair.  Either way the budget bounds
+    the q^k (q^k - 1) / 2 message pairs.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -321,9 +323,18 @@ def _verify_pairs(
 
 def _light_free(scheme: FccScheme, need: int) -> bool:
     """True when no nonzero codeword of a linear scheme has weight below
-    ``need``; stops at the first that has."""
+    ``need``; stops at the first that has.
+
+    Reads the projective shells of the [I_k | P] generator up to shell
+    need - 1: a codeword in shell w >= need weighs at least w.
+    """
     n = scheme.n
-    return all(n - cw.count(0) >= need for cw in islice(_codewords(scheme), 1, None))
+    for w, cw in iter_projective_shells(scheme.generator):
+        if w >= need:
+            return True
+        if n - cw.count(0) < need:
+            return False
+    return True
 
 
 def fcc_decode(

@@ -32,7 +32,7 @@ def _int_tokens(line: str, lineno: int, expected: int, what: str) -> list[int]:
         )
     out = []
     for tok in tokens:
-        if not tok.isdigit():
+        if not tok.isdecimal():
             raise FormatError(f"{what}: {tok!r} is not a non-negative integer", lineno)
         out.append(int(tok))
     return out

@@ -317,6 +317,31 @@ class TestErrorsAndParsing:
         assert code == EXIT_FORMAT
         assert "line" in err
 
+    def test_superscript_digit_in_function_file_exit_2(self, tmp_path, capsys):
+        # "²".isdigit() holds but int("²") raises
+        scheme = tmp_path / "or.scheme"
+        run(capsys, "construct", "or", "--q", "2", "--k", "2", "--t", "1",
+            "--out", str(scheme))
+        func = tmp_path / "f.func"
+        func.write_text("2 2\n0\n²\n1\n1\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", "--in", str(scheme), "--function", str(func), "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: line 3: value: '²' is not a non-negative integer\n"
+
+    def test_superscript_digit_in_scheme_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scheme"
+        bad.write_text("table 2 1 2\n0 0\n² 0\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", "--in", str(bad), "--function", "or",
+            "--q", "2", "--k", "1", "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: line 3: row: '²' is not a non-negative integer\n"
+
     def test_missing_scheme_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "encode", "--in", "/nonexistent/path.scheme", "1")
         assert code == EXIT_FORMAT

@@ -9,6 +9,7 @@ from fcckit import codes
 from fcckit.codes import (
     GeneratorMatrix,
     iter_codewords,
+    iter_projective_shells,
     linear_encode,
     min_distance,
     summarize,
@@ -16,7 +17,7 @@ from fcckit.codes import (
 from fcckit.constructions import rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, RankDeficient
 from fcckit.gf import Field
-from fcckit.vectors import hamming_distance, iter_messages
+from fcckit.vectors import hamming_distance, hamming_weight, iter_messages
 
 F2 = Field(2)
 
@@ -34,6 +35,12 @@ def brute_force_min_distance(g: GeneratorMatrix) -> int:
     return min(
         hamming_distance(a, b) for a, b in itertools.combinations(words, 2)
     )
+
+
+def full_enumeration_min_distance(g: GeneratorMatrix) -> int:
+    """Oracle: the minimum weight over all q^k - 1 nonzero codewords of the
+    rank-order odometer, with no early stop."""
+    return min(g.n - cw.count(0) for cw in itertools.islice(iter_codewords(g), 1, None))
 
 
 class TestLinearEncode:
@@ -231,3 +238,48 @@ def test_iter_codewords_matches_linear_encode(data):
         return
     got = [tuple(cw) for cw in iter_codewords(g)]
     assert got == [linear_encode(g, u) for u in iter_messages(q, k)]
+
+
+# Largest k per field for the full-enumeration oracle: prime, 2^m and odd p^m.
+_MAX_K = {2: 7, 3: 5, 4: 4, 5: 3, 7: 3, 8: 2, 9: 2, 16: 2, 25: 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_min_distance_matches_full_enumeration(data):
+    q = data.draw(st.sampled_from(sorted(_MAX_K)))
+    f = Field(q)
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]))
+    r = data.draw(st.integers(min_value=0, max_value=4))  # r = 0 is k = n
+    symbol = st.integers(0, q - 1)
+    unit = st.integers(1, q - 1)
+    parity = [list(data.draw(st.tuples(*[symbol] * r))) for _ in range(k)]
+    if r and data.draw(st.booleans()):
+        parity[data.draw(st.integers(0, k - 1))] = [0] * r  # a weight-1 codeword: d = 1
+    rows = [[int(j == i) for j in range(k)] + parity[i] for i in range(k)]
+    # random invertible row operations and a column permutation make the
+    # generator non-systematic
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        op = data.draw(st.sampled_from(["swap", "scale", "add"]))
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(0, k - 1))
+        if op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == "scale":
+            a = data.draw(unit)
+            rows[i] = [f.mul(a, x) for x in rows[i]]
+        elif i != j:
+            a = data.draw(unit)
+            rows[i] = [f.add(x, f.mul(a, y)) for x, y in zip(rows[i], rows[j])]
+    perm = data.draw(st.permutations(range(k + r)))
+    g = GeneratorMatrix(f, [[row[c] for c in perm] for row in rows])
+    assert min_distance(g) == full_enumeration_min_distance(g)
+
+    # one codeword per projective class, in shells of nondecreasing weight
+    # bounded below by the shell
+    shells = [(w, tuple(cw)) for w, cw in iter_projective_shells(g)]
+    assert len(shells) == (q**k - 1) // (q - 1)
+    assert [w for w, _ in shells] == sorted(w for w, _ in shells)
+    assert all(hamming_weight(cw) >= w for w, cw in shells)
+    multiples = {tuple(f.mul(a, x) for x in cw) for _, cw in shells for a in range(1, q)}
+    assert multiples == {tuple(cw) for cw in itertools.islice(iter_codewords(g), 1, None)}

@@ -16,11 +16,12 @@ from fcckit.errors import (
     NotSystematic,
     UnknownFunction,
 )
-from fcckit.codes import GeneratorMatrix
+from fcckit.codes import GeneratorMatrix, iter_codewords
 from fcckit.fcc import (
     BUILTIN_NAMES,
     FccScheme,
     FunctionTable,
+    _light_free,
     builtin_function,
     fcc_decode,
     fcc_encode,
@@ -290,6 +291,18 @@ class TestVerify:
         assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
         assert s._codebook is None
 
+    def test_linear_pass_leaves_codebook_to_decode(self):
+        # the weight check walks the projective shells, not the codebook;
+        # the first decode still fills it
+        s = rs_systematic(9, 3, 2).scheme
+        f = builtin_function("identity", 9, 3)
+        assert verdict(verify_fcc(s, f, 2)) == (True, None, None, 9**3 * (9**3 - 1) // 2)
+        assert s._codebook is None
+        u = (8, 0, 5)
+        y = inject(s.field, fcc_encode(s, u), 2, seed=random.Random(9))
+        assert fcc_decode(s, f, 2, y).label == f.label(u)
+        assert len(s._codebook) == 9**3
+
     def test_equal_label_pairs_impose_nothing(self):
         # collapsing all labels to one value always verifies, whatever the parity
         rng = random.Random(13)
@@ -532,3 +545,21 @@ def test_linear_verify_matches_pair_oracle(data):
     )
     f = FunctionTable(q, k, values)
     assert verdict(verify_fcc(s, f, t)) == naive_verify(s, f, t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_light_free_matches_full_weight_pass(data):
+    # prime, 2^m and odd p^m fields; r = 0 and zero parity rows give d = 1
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25]))
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K.get(q, 2)))
+    r = data.draw(st.integers(min_value=0, max_value=4))
+    symbol = st.integers(0, q - 1)
+    rows = [
+        tuple(1 if j == i else 0 for j in range(k)) + data.draw(st.tuples(*[symbol] * r))
+        for i in range(k)
+    ]
+    s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+    weights = [s.n - cw.count(0) for cw in itertools.islice(iter_codewords(s.generator), 1, None)]
+    for need in range(1, s.n + 2):
+        assert _light_free(s, need) == all(w >= need for w in weights), need
