@@ -35,8 +35,8 @@ class ConstructionReport:
 
     @cached_property
     def scheme(self) -> FccScheme:
-        """The linear scheme of ``generator``, built once so that its
-        codebook is filled once."""
+        """The linear scheme of ``generator``, built once so that a
+        decode that falls back to the full scan fills its codebook once."""
         return FccScheme.linear(self.generator)
 
 

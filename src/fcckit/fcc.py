@@ -1,19 +1,23 @@
 """Function-correcting core: function tables, systematic schemes, the
-distance-condition verifier, and the exhaustive function-value decoder.
+distance-condition verifier, and the function-value decoder.
 
 A scheme maps a message u to the codeword (u, p(u)); it protects a
 function f against t symbol errors when every pair of messages with
 different f-values lands at codeword distance >= 2t+1.  Verification and
-decoding are exact and budget-guarded.  The decoder and the pair scan
-read the codewords in message-rank order from one enumeration (the
-odometer of ``codes.iter_codewords`` for linear schemes); up to 65536
-messages the list is built once and kept on the scheme as its codebook,
-past that it is streamed again on every scan.  Since d(c(u), c(v)) =
-wt(c(v - u)) for a linear scheme, one with no nonzero codeword of weight
-at most 2t passes without comparing pairs.  That check reads the
-projective weight shells of ``codes.iter_projective_shells`` up to shell
-2t, never the codebook.  A linear scheme that has such a codeword, and
-every table scheme, is verified pair by pair.
+decoding are exact and budget-guarded.  A codeword within distance t of a
+received word y has its message within t of y[:k], so the decoder encodes
+the messages of that radius-t ball, ring by ring, and reads no other
+codeword when one lies within t.  The pair scan, and a decode with
+nothing within t, read the codewords in message-rank order from one
+enumeration (the odometer of ``codes.iter_codewords`` for linear
+schemes); up to 65536 messages the list is built once and kept on the
+scheme as its codebook, past that it is streamed again on every scan.
+Since d(c(u), c(v)) = wt(c(v - u)) for a linear scheme, one with no
+nonzero codeword of weight at most 2t passes without comparing pairs.
+That check reads the projective weight shells of
+``codes.iter_projective_shells`` up to shell 2t, never the codebook.  A
+linear scheme that has such a codeword, and every table scheme, is
+verified pair by pair.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .vectors import (
     check_vector,
     iter_messages,
     message_rank,
+    messages_at_distance,
     messages_of_weight,
     unrank_message,
 )
@@ -350,11 +355,20 @@ def fcc_decode(
     For a scheme that passes verification and at most t symbol errors the
     label equals f at the transmitted message.  In strict mode a nearest
     distance beyond t raises BeyondRadius instead of guessing.
+
+    A codeword within distance s of y has its message within s of y[:k],
+    so the decode first encodes the messages at distance s = 0, 1, ..., t
+    from y[:k] (``messages_at_distance``), keeping the least (distance,
+    rank).  Once that distance is at most s, no message farther out can
+    reach it, and the decode returns without building the codebook.  Only
+    when no codeword lies within t does it scan every codeword.  The
+    budget still bounds the q^k codewords of that scan.
     """
     _check_compatible(scheme, f)
     check_radius(t)
     y = check_vector(y, scheme.q, scheme.n, "received vector")
-    total = scheme.q**scheme.k
+    q, k = scheme.q, scheme.k
+    total = q**k
     if total > budget:
         raise BudgetExceeded(
             f"decoding needs {total} codewords, budget is {budget}",
@@ -362,6 +376,22 @@ def fcc_decode(
             budget=budget,
             unit="codewords",
         )
+    head, tail = y[:k], y[k:]
+    best_d, best_rank = scheme.n + 1, 0
+    for s in range(t + 1):
+        for u in messages_at_distance(head, q, s):
+            # the message part of (u, p(u)) differs from y in exactly s places
+            d = s
+            for a, b in zip(scheme.parity(u), tail):
+                if a != b:
+                    d += 1
+            if d <= best_d:
+                rank = message_rank(u, q)
+                if d < best_d or rank < best_rank:
+                    best_d, best_rank = d, rank
+        if best_d <= s:
+            return DecodeOutcome(label=f.values[best_rank], distance=best_d, within_radius=True)
+    # no codeword lies within t: scan them all for the nearest
     best_rank = 0
     best_d = scheme.n + 1
     for rank, cw in enumerate(_codewords(scheme)):

@@ -7,7 +7,7 @@ coordinate most significant, i.e. ``rank = sum(u[i] * q**(k-1-i))``.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import DimensionError
@@ -57,6 +57,25 @@ def messages_of_weight(q: int, k: int, w: int) -> Iterator[tuple[int, ...]]:
         for x in range(1, q):
             for rest in messages_of_weight(q, k - 1, w - 1):
                 yield (x,) + rest
+
+
+def messages_at_distance(
+    center: Sequence[int], q: int, s: int
+) -> Iterator[tuple[int, ...]]:
+    """The C(k, s) (q-1)^s messages at Hamming distance exactly s from
+    ``center``, one ring of the ball around it: for each set of s
+    positions, in ``itertools.combinations`` order, every way to change
+    each of them to another symbol, lexicographically.  The rings are not
+    in rank order; a scan that breaks ties by rank compares ranks.
+    """
+    center = tuple(center)
+    others = [tuple(x for x in range(q) if x != c) for c in center]
+    for support in combinations(range(len(center)), s):
+        for values in product(*(others[i] for i in support)):
+            u = list(center)
+            for i, x in zip(support, values):
+                u[i] = x
+            yield tuple(u)
 
 
 def messages_by_weight(q: int, k: int) -> list[tuple[int, ...]]:

@@ -238,6 +238,27 @@ class TestBoundsSimulate:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "weight,code,want",
+        [
+            # weight t: every decode finds the sent codeword in its message ball
+            ("2", EXIT_OK, "trials=30 successes=30 failures=0"),
+            # weight t+1: counts of the full-scan decoder, which a decode
+            # with no codeword within t still runs
+            ("3", EXIT_FAILURE, "trials=30 successes=8 failures=22"),
+        ],
+    )
+    def test_simulate_rs_counts_pinned(self, tmp_path, capsys, weight, code, want):
+        path = tmp_path / "rs.scheme"
+        run(capsys, "construct", "rs", "--q", "7", "--k", "3", "--t", "2",
+            "--out", str(path))
+        got, out, _ = run(
+            capsys, "simulate", "--in", str(path), "--function", "identity",
+            "--q", "7", "--k", "3", "--t", "2", "--trials", "30", "--seed", "11",
+            "--weight", weight,
+        )
+        assert (got, out.strip()) == (code, want)
+
 
 class TestGrid:
     def test_rows_and_determinism(self, capsys):

@@ -135,7 +135,14 @@ class TestReportScheme:
     def test_filled_codebook_survives_second_access(self):
         report = rs_systematic(9, 3, 2)
         f = builtin_function("identity", 9, 3)
-        fcc_decode(report.scheme, f, 2, (0,) * 7, strict=False)
+        # the zero word is a codeword: the radius-0 ring finds it
+        out = fcc_decode(report.scheme, f, 2, (0,) * 7)
+        assert (out.label, out.distance) == (0, 0)
+        assert report.scheme._codebook is None
+        # nothing lies within t = 2 of this word, so the decode falls back
+        # to scanning every codeword and fills the codebook
+        out = fcc_decode(report.scheme, f, 2, (1, 1, 1, 0, 0, 0, 0), strict=False)
+        assert (out.distance, out.within_radius) == (3, False)
         book = report.scheme._codebook
         assert book is not None and len(book) == 9**3
         assert report.scheme._codebook is book

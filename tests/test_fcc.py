@@ -2,6 +2,7 @@
 critical-pair scan."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -35,8 +36,10 @@ from fcckit.vectors import (
     hamming_weight,
     iter_messages,
     message_rank,
+    messages_at_distance,
     messages_by_weight,
     messages_of_weight,
+    unrank_message,
 )
 
 
@@ -291,17 +294,18 @@ class TestVerify:
         assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
         assert s._codebook is None
 
-    def test_linear_pass_leaves_codebook_to_decode(self):
-        # the weight check walks the projective shells, not the codebook;
-        # the first decode still fills it
+    def test_linear_pass_and_decode_build_no_codebook(self):
+        # the weight check walks the projective shells and a decode within
+        # the radius encodes the message ball: neither fills the codebook
         s = rs_systematic(9, 3, 2).scheme
         f = builtin_function("identity", 9, 3)
         assert verdict(verify_fcc(s, f, 2)) == (True, None, None, 9**3 * (9**3 - 1) // 2)
         assert s._codebook is None
         u = (8, 0, 5)
         y = inject(s.field, fcc_encode(s, u), 2, seed=random.Random(9))
-        assert fcc_decode(s, f, 2, y).label == f.label(u)
-        assert len(s._codebook) == 9**3
+        out = fcc_decode(s, f, 2, y)
+        assert (out.label, out.distance) == (f.label(u), 2)
+        assert s._codebook is None
 
     def test_equal_label_pairs_impose_nothing(self):
         # collapsing all labels to one value always verifies, whatever the parity
@@ -413,13 +417,14 @@ class TestDecode:
                 out = fcc_decode(scheme, f, 1, y)
                 assert out.label == f.label(u)
 
-    def test_exact_match_fills_codebook(self):
+    def test_exact_match_builds_no_codebook(self):
+        # the received word's own message is the whole radius-0 ring
         s = rs_systematic(13, 4, 3).scheme
         f = builtin_function("identity", 13, 4)
         y = fcc_encode(s, (12, 12, 12, 12))
         out = fcc_decode(s, f, 3, y)
         assert (out.label, out.distance) == (13**4 - 1, 0)
-        assert len(s._codebook) == 13**4
+        assert s._codebook is None
         assert fcc_decode(s, f, 3, y) == out
 
     def test_negative_t_rejected(self):
@@ -428,8 +433,8 @@ class TestDecode:
             fcc_decode(s, builtin_function("or", 2, 3), -1, (0, 0, 0, 0, 0))
 
     def test_scheme_over_codebook_cap(self):
-        # 17^4 > 65536 messages: every decode streams the odometer's
-        # in-place list, and no codebook is kept
+        # 17^4 > 65536 messages, past the codebook cap; decodes within
+        # the radius encode only the message ball
         s = rs_systematic(17, 4, 2).scheme
         f = builtin_function("identity", 17, 4)
         rng = random.Random(20261018)
@@ -563,3 +568,68 @@ def test_light_free_matches_full_weight_pass(data):
     weights = [s.n - cw.count(0) for cw in itertools.islice(iter_codewords(s.generator), 1, None)]
     for need in range(1, s.n + 2):
         assert _light_free(s, need) == all(w >= need for w in weights), need
+
+
+def full_scan_decode(scheme, f, y):
+    """Oracle: label and distance of the least (distance, rank) over all
+    q^k codewords."""
+    d, rank = min(
+        (hamming_distance(y, fcc_encode(scheme, u)), rank)
+        for rank, u in enumerate(iter_messages(scheme.q, scheme.k))
+    )
+    return f.values[rank], d
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decode_matches_full_scan_oracle(data):
+    # linear schemes over prime, 2^m and odd p^m fields, and table schemes
+    # whose parity rows repeat, so that codewords tie; identity labels make
+    # the label the rank, so ties must go to the lowest rank
+    q = data.draw(st.sampled_from(sorted(_MAX_K)))
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]))
+    r = data.draw(st.integers(min_value=0, max_value=3))
+    t = data.draw(st.integers(min_value=0, max_value=3))
+    total = q**k
+    parity = st.tuples(*[st.integers(0, q - 1)] * r)
+    if data.draw(st.booleans()):
+        rows = [tuple(int(j == i) for j in range(k)) + data.draw(parity) for i in range(k)]
+        s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+    else:
+        pool = data.draw(st.lists(parity, min_size=1, max_size=3))
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=total, max_size=total))
+        s = FccScheme.tabular(q, k, rows)
+    n_labels = data.draw(st.sampled_from([1, 2, 3, None]))
+    if n_labels is None:
+        values = tuple(range(total))
+    else:
+        values = tuple(
+            data.draw(st.lists(st.integers(0, n_labels - 1), min_size=total, max_size=total))
+        )
+    f = FunctionTable(q, k, values)
+    u = unrank_message(data.draw(st.integers(0, total - 1)), q, k)
+    weight = data.draw(st.integers(min_value=0, max_value=s.n))
+    y = inject(s.field, fcc_encode(s, u), weight, seed=data.draw(st.integers(0, 2**32 - 1)))
+    label, d = full_scan_decode(s, f, y)
+    out = fcc_decode(s, f, t, y, strict=False)
+    assert (out.label, out.distance, out.within_radius) == (label, d, d <= t)
+    if d <= t:
+        assert s._codebook is None  # the ball decode never reads the codewords
+        assert fcc_decode(s, f, t, y) == out
+    else:
+        with pytest.raises(BeyondRadius) as exc:
+            fcc_decode(s, f, t, y)
+        assert exc.value.distance == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_messages_at_distance_are_the_rings(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 9]))
+    k = data.draw(st.integers(min_value=1, max_value=4 if q < 5 else 2))
+    center = data.draw(st.tuples(*[st.integers(0, q - 1)] * k))
+    rings = [list(messages_at_distance(center, q, s)) for s in range(k + 2)]
+    for s, ring in enumerate(rings):
+        assert len(ring) == len(set(ring)) == math.comb(k, s) * (q - 1) ** s
+        assert all(hamming_distance(u, center) == s for u in ring)
+    assert sorted(u for ring in rings for u in ring) == list(iter_messages(q, k))
