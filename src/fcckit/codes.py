@@ -3,9 +3,9 @@
 A code is given by a full-rank k x n generator matrix.  Its codewords
 are walked in two orders.  ``iter_codewords`` yields all q^k of them in
 message-rank order: a base-q odometer over the messages that updates the
-running codeword only on the digits that changed.  It serves the readers
-that need the rank of each codeword (the decoder, the pair scan and the
-codebook).  ``iter_projective_shells`` yields one codeword of every
+running codeword only on the digits that changed.  Its one reader is the
+verifier's pair scan, which needs the rank of each codeword.
+``iter_projective_shells`` yields one codeword of every
 nonzero projective class, from a reduced row-echelon generator, by the
 Hamming weight w of its message on the pivot columns; a codeword weighs
 at least w there, so a reader looking for light codewords can stop after
@@ -113,8 +113,8 @@ def iter_codewords(g: GeneratorMatrix) -> Iterator[list[int]]:
     Walks the messages with a base-q odometer, updating the running
     codeword only on the digits it changed.  The same list is yielded
     every time and updated in place, so a consumer that keeps a codeword
-    must copy it.  For readers that need each codeword's rank; a reader
-    that needs only weights walks ``iter_projective_shells``.
+    must copy it.  The verifier's pair scan reads it for each codeword's
+    rank; a reader that needs only weights walks ``iter_projective_shells``.
     """
     q, k, n = g.q, g.k, g.n
     f = g.field

@@ -35,8 +35,7 @@ class ConstructionReport:
 
     @cached_property
     def scheme(self) -> FccScheme:
-        """The linear scheme of ``generator``, built once so that a
-        decode that falls back to the full scan fills its codebook once."""
+        """The linear scheme of ``generator``, built once per report."""
         return FccScheme.linear(self.generator)
 
 

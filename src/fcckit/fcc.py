@@ -4,27 +4,26 @@ distance-condition verifier, and the function-value decoder.
 A scheme maps a message u to the codeword (u, p(u)); it protects a
 function f against t symbol errors when every pair of messages with
 different f-values lands at codeword distance >= 2t+1.  Verification and
-decoding are exact and budget-guarded.  A codeword within distance t of a
-received word y has its message within t of y[:k], so the decoder encodes
-the messages of that radius-t ball, ring by ring, and reads no other
-codeword when one lies within t.  The pair scan, and a decode with
-nothing within t, read the codewords in message-rank order from one
-enumeration (the odometer of ``codes.iter_codewords`` for linear
-schemes); up to 65536 messages the list is built once and kept on the
-scheme as its codebook, past that it is streamed again on every scan.
-Since d(c(u), c(v)) = wt(c(v - u)) for a linear scheme, one with no
-nonzero codeword of weight at most 2t passes without comparing pairs.
-That check reads the projective weight shells of
-``codes.iter_projective_shells`` up to shell 2t, never the codebook.  A
-linear scheme that has such a codeword, and every table scheme, is
-verified pair by pair.
+decoding are exact and budget-guarded.  A codeword within distance s of a
+received word y has its message within s of y[:k], so the decoder encodes
+the messages of the ring at distance s = 0, 1, ... from y[:k] and stops
+at the first ring whose radius reaches the nearest distance found; it
+never enumerates the codewords.  Since d(c(u), c(v)) = wt(c(v - u)) for a
+linear scheme, one with no nonzero codeword of weight at most 2t passes
+without comparing pairs.  That check reads the projective weight shells
+of ``codes.iter_projective_shells`` up to shell 2t.  A linear scheme that
+has such a codeword, and every table scheme, is verified pair by pair
+over a list of its q^k codewords in message-rank order, built for that
+scan alone (by the odometer of ``codes.iter_codewords`` for a linear
+scheme).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import ne
+from typing import Sequence
 
 from . import defaults
 from .codes import GeneratorMatrix, iter_codewords, iter_projective_shells, linear_encode
@@ -45,10 +44,6 @@ from .vectors import (
     messages_of_weight,
     unrank_message,
 )
-
-# Largest q^k whose codebook a scheme keeps.
-_CODEBOOK_CAP = 65536
-
 
 @dataclass(frozen=True)
 class FunctionTable:
@@ -143,7 +138,7 @@ class FccScheme:
     stores one length-r parity vector per message rank.
     """
 
-    __slots__ = ("kind", "field", "q", "k", "r", "generator", "parity_table", "_codebook")
+    __slots__ = ("kind", "field", "q", "k", "r", "generator", "parity_table")
 
     def __init__(
         self,
@@ -161,7 +156,6 @@ class FccScheme:
         self.r = r
         self.generator = generator
         self.parity_table = parity_table
-        self._codebook: list[tuple[int, ...]] | None = None
 
     @classmethod
     def linear(cls, generator: GeneratorMatrix) -> "FccScheme":
@@ -227,27 +221,6 @@ def fcc_encode(scheme: FccScheme, u: Sequence[int]) -> tuple[int, ...]:
     return u + scheme.parity(u)
 
 
-def _codewords(scheme: FccScheme) -> Iterable[Sequence[int]]:
-    """Codewords (u, p(u)) in message-rank order.
-
-    Up to _CODEBOOK_CAP messages this is the scheme's codebook, a list of
-    tuples built on first use.  Past the cap it is a fresh stream that is
-    not kept; for linear schemes it yields one list updated in place.
-    """
-    if scheme._codebook is not None:
-        return scheme._codebook
-    if scheme.kind == "linear":
-        stream: Iterable[Sequence[int]] = iter_codewords(scheme.generator)
-    else:
-        stream = (
-            u + p for u, p in zip(iter_messages(scheme.q, scheme.k), scheme.parity_table)
-        )
-    if scheme.q**scheme.k > _CODEBOOK_CAP:
-        return stream
-    scheme._codebook = [tuple(cw) for cw in stream]
-    return scheme._codebook
-
-
 def _check_compatible(scheme: FccScheme, f: FunctionTable) -> None:
     if scheme.q != f.q or scheme.k != f.k:
         raise DimensionError(
@@ -268,10 +241,10 @@ def verify_fcc(
     ``pairs_checked`` counts the pairs with different labels up to and
     including it, or all of them when the scheme passes.  A linear scheme
     with no nonzero codeword of weight below 2t+1 passes after a walk of
-    its projective weight shells up to shell 2t, without reading the
-    codebook, and ``pairs_checked`` is counted from the label counts; any
-    other scheme compares every such pair.  Either way the budget bounds
-    the q^k (q^k - 1) / 2 message pairs.
+    its projective weight shells up to shell 2t, and ``pairs_checked`` is
+    counted from the label counts; any other scheme compares every such
+    pair.  Either way the budget bounds the q^k (q^k - 1) / 2 message
+    pairs.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -298,10 +271,12 @@ def _verify_pairs(
     scheme: FccScheme, labels: Sequence[int], need: int
 ) -> VerificationResult:
     """Compare the codewords of every pair with different labels."""
-    total = scheme.q**scheme.k
-    k = scheme.k
-    # tuple() copies only past the codebook cap, where the stream reuses one list
-    words = [tuple(cw) for cw in _codewords(scheme)]
+    q, k = scheme.q, scheme.k
+    total = q**k
+    if scheme.kind == "linear":
+        words = [tuple(cw) for cw in iter_codewords(scheme.generator)]
+    else:
+        words = [u + p for u, p in zip(iter_messages(q, k), scheme.parity_table)]
     checked = 0
     for i in range(total):
         li = labels[i]
@@ -310,12 +285,7 @@ def _verify_pairs(
             if labels[j] == li:
                 continue
             checked += 1
-            d = 0
-            for a, b in zip(ci, words[j]):
-                if a != b:
-                    d += 1
-                    if d == need:
-                        break
+            d = sum(map(ne, ci, words[j]))
             if d < need:
                 return VerificationResult(
                     ok=False,
@@ -357,12 +327,13 @@ def fcc_decode(
     distance beyond t raises BeyondRadius instead of guessing.
 
     A codeword within distance s of y has its message within s of y[:k],
-    so the decode first encodes the messages at distance s = 0, 1, ..., t
-    from y[:k] (``messages_at_distance``), keeping the least (distance,
-    rank).  Once that distance is at most s, no message farther out can
-    reach it, and the decode returns without building the codebook.  Only
-    when no codeword lies within t does it scan every codeword.  The
-    budget still bounds the q^k codewords of that scan.
+    so the decode encodes the messages at distance s = 0, 1, ..., k from
+    y[:k] (``messages_at_distance``), ring by ring, keeping the least
+    (distance, rank).  Once that distance is at most s, no message farther
+    out can reach it, and the decode stops: it encodes the V(k, d, q)
+    messages within the nearest distance d of y[:k] (capped at k), so
+    V(k, t, q) when a codeword lies within t.  The rings 0..k hold all q^k
+    messages, which the budget bounds.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -378,33 +349,16 @@ def fcc_decode(
         )
     head, tail = y[:k], y[k:]
     best_d, best_rank = scheme.n + 1, 0
-    for s in range(t + 1):
+    for s in range(k + 1):
         for u in messages_at_distance(head, q, s):
             # the message part of (u, p(u)) differs from y in exactly s places
-            d = s
-            for a, b in zip(scheme.parity(u), tail):
-                if a != b:
-                    d += 1
+            d = s + sum(map(ne, scheme.parity(u), tail))
             if d <= best_d:
                 rank = message_rank(u, q)
                 if d < best_d or rank < best_rank:
                     best_d, best_rank = d, rank
         if best_d <= s:
-            return DecodeOutcome(label=f.values[best_rank], distance=best_d, within_radius=True)
-    # no codeword lies within t: scan them all for the nearest
-    best_rank = 0
-    best_d = scheme.n + 1
-    for rank, cw in enumerate(_codewords(scheme)):
-        d = 0
-        for a, b in zip(cw, y):
-            if a != b:
-                d += 1
-                if d >= best_d:
-                    break
-        if d < best_d:
-            best_rank, best_d = rank, d
-            if d == 0:
-                break
+            break
     within = best_d <= t
     if strict and not within:
         raise BeyondRadius(

@@ -243,8 +243,8 @@ class TestBoundsSimulate:
         [
             # weight t: every decode finds the sent codeword in its message ball
             ("2", EXIT_OK, "trials=30 successes=30 failures=0"),
-            # weight t+1: counts of the full-scan decoder, which a decode
-            # with no codeword within t still runs
+            # weight t+1: a decode with no codeword within t runs the rings
+            # on to the nearest codeword, with ties to the lowest rank
             ("3", EXIT_FAILURE, "trials=30 successes=8 failures=22"),
         ],
     )

@@ -7,7 +7,7 @@ from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, FieldTooSmall, InvalidOrder
 from fcckit.fcc import builtin_function, fcc_decode, fcc_encode, verify_fcc
 from fcckit.gf import Field, Polynomial, minimal_poly
-from fcckit.vectors import hamming_distance
+from fcckit.vectors import hamming_distance, iter_messages
 
 
 def bch_extension_degree(k: int, t: int) -> int:
@@ -132,20 +132,23 @@ class TestReportScheme:
         report = rs_systematic(7, 3, 2)
         assert report.scheme is report.scheme
 
-    def test_filled_codebook_survives_second_access(self):
+    def test_decodes_through_the_report_scheme(self):
         report = rs_systematic(9, 3, 2)
         f = builtin_function("identity", 9, 3)
         # the zero word is a codeword: the radius-0 ring finds it
         out = fcc_decode(report.scheme, f, 2, (0,) * 7)
         assert (out.label, out.distance) == (0, 0)
-        assert report.scheme._codebook is None
-        # nothing lies within t = 2 of this word, so the decode falls back
-        # to scanning every codeword and fills the codebook
-        out = fcc_decode(report.scheme, f, 2, (1, 1, 1, 0, 0, 0, 0), strict=False)
-        assert (out.distance, out.within_radius) == (3, False)
-        book = report.scheme._codebook
-        assert book is not None and len(book) == 9**3
-        assert report.scheme._codebook is book
+        # nothing lies within t = 2 of this word: the rings run on to the
+        # nearest codeword, at distance 3
+        y = (1, 1, 1, 0, 0, 0, 0)
+        out = fcc_decode(report.scheme, f, 2, y, strict=False)
+        # the full-scan oracle: the least (distance, rank) over all codewords
+        d, rank = min(
+            (hamming_distance(y, fcc_encode(report.scheme, u)), rank)
+            for rank, u in enumerate(iter_messages(9, 3))
+        )
+        assert d == 3
+        assert (out.label, out.distance, out.within_radius) == (f.values[rank], 3, False)
 
 
 class TestOrScheme:

@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcckit.fcc
+from fcckit.bounds import hamming_ball_volume
 from fcckit.channel import enumerate_errors, inject
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import (
@@ -197,6 +199,31 @@ def verdict(result):
     return result.ok, result.violating_pair, result.distance, result.pairs_checked
 
 
+def refuse_walks(monkeypatch, *names):
+    """Make any call of the named codeword walks in ``fcckit.fcc`` fail
+    the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the codewords")
+
+    for name in names:
+        monkeypatch.setattr(fcckit.fcc, name, refuse)
+
+
+class CountingScheme(FccScheme):
+    """A scheme that counts the messages it encodes."""
+
+    __slots__ = ("encoded",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.encoded = 0
+
+    def parity(self, u):
+        self.encoded += 1
+        return super().parity(u)
+
+
 class TestVerify:
     def test_or_scheme_passes(self):
         s = or_scheme(2, 3, 1)
@@ -243,13 +270,14 @@ class TestVerify:
         assert exc.value.details == {"required": 28, "budget": 27, "unit": "message pairs"}
         assert "28 message pairs" in str(exc.value)
 
-    def test_budget_refuses_before_any_work(self):
-        # 2^16 messages are 2^31 - 2^15 pairs, far over the default budget
+    def test_budget_refuses_before_any_work(self, monkeypatch):
+        # 2^16 messages are 2^31 - 2^15 pairs, far over the default budget;
+        # neither the weight shells nor the pair scan may start
         s = bch_systematic(16, 3).scheme
+        refuse_walks(monkeypatch, "iter_codewords", "iter_projective_shells")
         with pytest.raises(BudgetExceeded) as exc:
             verify_fcc(s, builtin_function("or", 2, 16), 3)
         assert exc.value.details["required"] == 2**16 * (2**16 - 1) // 2
-        assert s._codebook is None
 
     def test_matches_naive_oracle_on_random_schemes(self):
         rng = random.Random(7)
@@ -272,19 +300,25 @@ class TestVerify:
         with pytest.raises(DimensionError):
             verify_fcc(rs_systematic(5, 2, 1).scheme, builtin_function("or", 5, 2), -1)
 
-    def test_linear_pass_past_codebook_cap(self):
-        # 17^4 > 65536 messages: the weight pass streams the odometer, and
+    def test_linear_pass_on_83521_messages(self, monkeypatch):
+        # the weight shells pass rs(17,4,2) without a pair scan, and
         # pairs_checked is the closed-form count of different-label pairs
         s = rs_systematic(17, 4, 2).scheme
+        refuse_walks(monkeypatch, "iter_codewords")
         result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
         assert verdict(result) == (True, None, None, 17**4 - 1)
-        assert s._codebook is None
 
-    def test_linear_failure_past_codebook_cap(self):
+    def test_linear_failure_on_83521_messages(self, monkeypatch):
         # d = 3 < 2t+1 = 5: the first violation pairs zero with the
-        # lowest-rank message whose codeword has weight below 5
+        # lowest-rank message whose codeword has weight below 5; each
+        # verify walks the odometer afresh, keeping nothing on the scheme
         s = rs_systematic(17, 4, 1).scheme
+        walks = []
+        monkeypatch.setattr(
+            fcckit.fcc, "iter_codewords", lambda g: walks.append(g) or iter_codewords(g)
+        )
         result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
+        assert walks == [s.generator]
         rank, v = next(
             (rank, v)
             for rank, v in enumerate(iter_messages(17, 4))
@@ -292,20 +326,18 @@ class TestVerify:
         )
         want_d = sum(1 for x in fcc_encode(s, v) if x)
         assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
-        assert s._codebook is None
 
-    def test_linear_pass_and_decode_build_no_codebook(self):
+    def test_linear_pass_and_decode_build_no_codebook(self, monkeypatch):
         # the weight check walks the projective shells and a decode within
-        # the radius encodes the message ball: neither fills the codebook
+        # the radius encodes the message ball: neither lists the codewords
         s = rs_systematic(9, 3, 2).scheme
         f = builtin_function("identity", 9, 3)
+        refuse_walks(monkeypatch, "iter_codewords")
         assert verdict(verify_fcc(s, f, 2)) == (True, None, None, 9**3 * (9**3 - 1) // 2)
-        assert s._codebook is None
         u = (8, 0, 5)
         y = inject(s.field, fcc_encode(s, u), 2, seed=random.Random(9))
         out = fcc_decode(s, f, 2, y)
         assert (out.label, out.distance) == (f.label(u), 2)
-        assert s._codebook is None
 
     def test_equal_label_pairs_impose_nothing(self):
         # collapsing all labels to one value always verifies, whatever the parity
@@ -419,12 +451,13 @@ class TestDecode:
 
     def test_exact_match_builds_no_codebook(self):
         # the received word's own message is the whole radius-0 ring
-        s = rs_systematic(13, 4, 3).scheme
+        s = CountingScheme.linear(rs_systematic(13, 4, 3).generator)
         f = builtin_function("identity", 13, 4)
         y = fcc_encode(s, (12, 12, 12, 12))
+        s.encoded = 0
         out = fcc_decode(s, f, 3, y)
         assert (out.label, out.distance) == (13**4 - 1, 0)
-        assert s._codebook is None
+        assert s.encoded == 1
         assert fcc_decode(s, f, 3, y) == out
 
     def test_negative_t_rejected(self):
@@ -433,17 +466,19 @@ class TestDecode:
             fcc_decode(s, builtin_function("or", 2, 3), -1, (0, 0, 0, 0, 0))
 
     def test_scheme_over_codebook_cap(self):
-        # 17^4 > 65536 messages, past the codebook cap; decodes within
-        # the radius encode only the message ball
-        s = rs_systematic(17, 4, 2).scheme
+        # 17^4 messages, more than the 65536 that a codebook was once
+        # capped at; a decode at distance w <= t encodes the V(4, w, 17) messages
+        # within w of the received word's message part, 1601 at w = 2
+        s = CountingScheme.linear(rs_systematic(17, 4, 2).generator)
         f = builtin_function("identity", 17, 4)
         rng = random.Random(20261018)
         for weight in (0, 1, 2, 2):
             u = tuple(rng.randrange(17) for _ in range(4))
             y = inject(s.field, fcc_encode(s, u), weight, seed=rng)
+            s.encoded = 0
             out = fcc_decode(s, f, 2, y)
             assert (out.label, out.distance) == (f.label(u), weight)
-        assert s._codebook is None
+            assert s.encoded == hamming_ball_volume(4, weight, 17)
 
 
 def naive_critical_pair(f):
@@ -594,11 +629,11 @@ def test_decode_matches_full_scan_oracle(data):
     parity = st.tuples(*[st.integers(0, q - 1)] * r)
     if data.draw(st.booleans()):
         rows = [tuple(int(j == i) for j in range(k)) + data.draw(parity) for i in range(k)]
-        s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+        s = CountingScheme.linear(GeneratorMatrix(Field(q), rows))
     else:
         pool = data.draw(st.lists(parity, min_size=1, max_size=3))
         rows = data.draw(st.lists(st.sampled_from(pool), min_size=total, max_size=total))
-        s = FccScheme.tabular(q, k, rows)
+        s = CountingScheme.tabular(q, k, rows)
     n_labels = data.draw(st.sampled_from([1, 2, 3, None]))
     if n_labels is None:
         values = tuple(range(total))
@@ -611,15 +646,48 @@ def test_decode_matches_full_scan_oracle(data):
     weight = data.draw(st.integers(min_value=0, max_value=s.n))
     y = inject(s.field, fcc_encode(s, u), weight, seed=data.draw(st.integers(0, 2**32 - 1)))
     label, d = full_scan_decode(s, f, y)
+    s.encoded = 0
     out = fcc_decode(s, f, t, y, strict=False)
     assert (out.label, out.distance, out.within_radius) == (label, d, d <= t)
+    # the rings stop at the nearest distance d: the messages within d of y[:k]
+    assert s.encoded == hamming_ball_volume(k, min(d, k), q)
     if d <= t:
-        assert s._codebook is None  # the ball decode never reads the codewords
         assert fcc_decode(s, f, t, y) == out
     else:
         with pytest.raises(BeyondRadius) as exc:
             fcc_decode(s, f, t, y)
         assert exc.value.distance == d
+
+
+def _tied_table_scheme():
+    # three parities over the 16 messages of F_4^2, so codewords tie
+    pool = [(0, 0), (1, 2), (3, 3)]
+    return FccScheme.tabular(4, 2, [pool[rank % 3] for rank in range(16)])
+
+
+@pytest.mark.parametrize(
+    "scheme,t",
+    [
+        pytest.param(or_scheme(3, 2, 1), 1, id="or-q3-k2-t1"),
+        pytest.param(rs_systematic(5, 2, 1).scheme, 1, id="rs-5-2-1"),
+        pytest.param(_tied_table_scheme(), 1, id="tied-table-q4-k2"),
+    ],
+)
+def test_decode_every_received_word(scheme, t):
+    # every word of F_q^n, within t and beyond it; identity labels make
+    # the label the rank, so ties must go to the lowest rank
+    q, k = scheme.q, scheme.k
+    f = FunctionTable(q, k, tuple(range(q**k)))
+    for y in itertools.product(range(q), repeat=scheme.n):
+        label, d = full_scan_decode(scheme, f, y)
+        out = fcc_decode(scheme, f, t, y, strict=False)
+        assert (out.label, out.distance, out.within_radius) == (label, d, d <= t), y
+        if d <= t:
+            assert fcc_decode(scheme, f, t, y) == out
+        else:
+            with pytest.raises(BeyondRadius) as exc:
+                fcc_decode(scheme, f, t, y)
+            assert exc.value.distance == d
 
 
 @settings(max_examples=100, deadline=None)
