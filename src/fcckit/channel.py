@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from . import defaults
 from .bounds import hamming_ball_volume
 from .errors import BudgetExceeded, DimensionError, WeightTooLarge
 from .gf import Field
-from .vectors import check_vector
+from .vectors import check_vector, messages_at_distance
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,9 @@ def enumerate_errors(
 ) -> Iterator[ErrorVector]:
     """Every vector of weight <= min(t, n) in F_q^n, exactly once.
 
-    Ordered by (weight, support lexicographic, value lexicographic); the
-    stream length equals the radius-min(t, n) Hamming ball volume.
+    Ordered by (weight, support lexicographic, value lexicographic): the
+    rings of ``messages_at_distance`` around the zero vector.  The stream
+    length equals the radius-min(t, n) Hamming ball volume.
     """
     if n < 1 or t < 0 or q < 2:
         raise DimensionError(f"need n >= 1, t >= 0, q >= 2; got ({n}, {t}, {q})")
@@ -72,10 +72,7 @@ def enumerate_errors(
             budget=budget,
             unit="vectors",
         )
+    zero = (0,) * n
     for w in range(w_max + 1):
-        for support in combinations(range(n), w):
-            for values in product(range(1, q), repeat=w):
-                vec = [0] * n
-                for pos, val in zip(support, values):
-                    vec[pos] = val
-                yield ErrorVector(vector=tuple(vec), weight=w)
+        for vec in messages_at_distance(zero, q, w):
+            yield ErrorVector(vector=vec, weight=w)

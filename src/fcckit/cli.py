@@ -69,15 +69,16 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _resolve_budget(flag_value: int | None, fallback: int) -> int:
-    if flag_value is not None:
-        return flag_value
+    budget = flag_value
     env = os.environ.get("FCC_BUDGET")
-    if env:
+    if budget is None and env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError as exc:
             raise FormatError(f"FCC_BUDGET is not an integer: {env!r}", 1) from exc
-    return fallback
+    if budget is not None and budget < 0:
+        raise FormatError(f"budget must be non-negative, got {budget}", 1)
+    return fallback if budget is None else budget
 
 
 def parse_function_spec(spec: str, q: int, k: int) -> FunctionTable:
@@ -226,6 +227,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     scheme = _load_scheme(args.infile)
     f = _load_function(args)
     check_radius(args.t)
+    if args.trials < 0:
+        raise FormatError(f"--trials must be non-negative, got {args.trials}", 1)
     budget = _resolve_budget(args.budget, defaults.ENUMERATION_BUDGET)
     rng = random.Random(args.seed)
     failures = 0
@@ -379,11 +382,17 @@ def parse_range_list(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo_text, hi_text = part.split("..", 1)
-            out.extend(range(int(lo_text), int(hi_text) + 1))
-        elif part:
-            out.append(int(part))
+        if not part:
+            continue
+        lo_text, sep, hi_text = part.partition("..")
+        try:
+            lo = int(lo_text)
+            hi = int(hi_text) if sep else lo
+        except ValueError:
+            raise FormatError(f"range list {text!r}: {part!r} is not an integer or a..b", 1) from None
+        if lo > hi:
+            raise FormatError(f"range list {text!r}: {part!r} is an empty range", 1)
+        out.extend(range(lo, hi + 1))
     if not out:
         raise FormatError(f"empty range list: {text!r}", 1)
     return tuple(out)

@@ -1,17 +1,14 @@
 """Generic linear-code machinery over F_q.
 
-A code is given by a full-rank k x n generator matrix.  Its codewords
-are walked in two orders.  ``iter_codewords`` yields all q^k of them in
-message-rank order: a base-q odometer over the messages that updates the
-running codeword only on the digits that changed.  Its one reader is the
-verifier's pair scan, which needs the rank of each codeword.
-``iter_projective_shells`` yields one codeword of every
-nonzero projective class, from a reduced row-echelon generator, by the
-Hamming weight w of its message on the pivot columns; a codeword weighs
-at least w there, so a reader looking for light codewords can stop after
-a few shells.  Minimum distance reads the shells, by linearity (c and
-a*c have the same weight for every a != 0); it refuses to start when q^k
-exceeds the budget rather than falling back to sampling.
+A code is given by a full-rank k x n generator matrix.  ``linear_encode``
+encodes one message.  ``iter_projective_shells`` is the one codeword
+walk: it yields one codeword of every nonzero projective class, from a
+reduced row-echelon generator, by the Hamming weight w of its message on
+the pivot columns; a codeword weighs at least w there, so a reader
+looking for light codewords can stop after a few shells.  Minimum
+distance reads the shells, by linearity (c and a*c have the same weight
+for every a != 0); it refuses to start when q^k exceeds the budget
+rather than falling back to sampling.
 """
 
 from __future__ import annotations
@@ -105,42 +102,6 @@ def linear_encode(g: GeneratorMatrix, u: Sequence[int]) -> tuple[int, ...]:
                 if y:
                     out[j] = f.add(out[j], f.mul(x, y))
     return tuple(out)
-
-
-def iter_codewords(g: GeneratorMatrix) -> Iterator[list[int]]:
-    """Every codeword u . G in message-rank order, starting with zero.
-
-    Walks the messages with a base-q odometer, updating the running
-    codeword only on the digits it changed.  The same list is yielded
-    every time and updated in place, so a consumer that keeps a codeword
-    must copy it.  The verifier's pair scan reads it for each codeword's
-    rank; a reader that needs only weights walks ``iter_projective_shells``.
-    """
-    q, k, n = g.q, g.k, g.n
-    f = g.field
-    add = f.add
-    # Each step adds a nonzero multiple of one row: only the row's nonzero
-    # entries change the codeword, and a systematic row has k - 1 zeros.
-    scaled = [
-        {s: [(j, f.mul(s, x)) for j, x in enumerate(row) if x] for s in range(1, q)}
-        for row in g.rows
-    ]
-    wrap_delta = f.sub(0, q - 1)
-    step_delta = [f.sub(d + 1, d) for d in range(q - 1)]
-    digits = [0] * k
-    cw = [0] * n
-    yield cw
-    for _ in range(q**k - 1):
-        i = k - 1
-        while digits[i] == q - 1:
-            for j, x in scaled[i][wrap_delta]:
-                cw[j] = add(cw[j], x)
-            digits[i] = 0
-            i -= 1
-        for j, x in scaled[i][step_delta[digits[i]]]:
-            cw[j] = add(cw[j], x)
-        digits[i] += 1
-        yield cw
 
 
 def iter_projective_shells(g: GeneratorMatrix) -> Iterator[tuple[int, list[int]]]:

@@ -9,13 +9,12 @@ received word y has its message within s of y[:k], so the decoder encodes
 the messages of the ring at distance s = 0, 1, ... from y[:k] and stops
 at the first ring whose radius reaches the nearest distance found; it
 never enumerates the codewords.  Since d(c(u), c(v)) = wt(c(v - u)) for a
-linear scheme, one with no nonzero codeword of weight at most 2t passes
-without comparing pairs.  That check reads the projective weight shells
-of ``codes.iter_projective_shells`` up to shell 2t.  A linear scheme that
-has such a codeword, and every table scheme, is verified pair by pair
-over a list of its q^k codewords in message-rank order, built for that
-scan alone (by the odometer of ``codes.iter_codewords`` for a linear
-scheme).
+linear scheme, one passes for every f when ``codes.min_distance`` of its
+generator is at least 2t+1, without comparing pairs.  A linear scheme
+below that, and every table scheme, is verified pair by pair over a list
+of its q^k codewords in message-rank order, built for that scan alone
+from one parity table: the scheme's own, or u.P built one message digit
+at a time for a linear scheme.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from operator import ne
 from typing import Sequence
 
 from . import defaults
-from .codes import GeneratorMatrix, iter_codewords, iter_projective_shells, linear_encode
+from .codes import GeneratorMatrix, linear_encode, min_distance
 from .errors import (
     BeyondRadius,
     BudgetExceeded,
@@ -240,11 +239,10 @@ def verify_fcc(
     Reports the first violation in lexicographic (rank, rank) order;
     ``pairs_checked`` counts the pairs with different labels up to and
     including it, or all of them when the scheme passes.  A linear scheme
-    with no nonzero codeword of weight below 2t+1 passes after a walk of
-    its projective weight shells up to shell 2t, and ``pairs_checked`` is
-    counted from the label counts; any other scheme compares every such
-    pair.  Either way the budget bounds the q^k (q^k - 1) / 2 message
-    pairs.
+    passes when ``min_distance`` of its generator is at least 2t+1, and
+    ``pairs_checked`` is then counted from the label counts; any other
+    scheme compares every such pair over one parity table.  Either way the
+    budget bounds the q^k (q^k - 1) / 2 message pairs.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -258,7 +256,9 @@ def verify_fcc(
             unit="message pairs",
         )
     need = 2 * t + 1
-    if scheme.kind == "linear" and _light_free(scheme, need):
+    # the pair gate above has run: budget=total keeps min_distance's
+    # q^k-codeword gate from refusing with a different message
+    if scheme.kind == "linear" and min_distance(scheme.generator, budget=total) >= need:
         # d(c(u), c(v)) = wt(c(v - u)) >= need for every pair
         differing = (total * total - sum(c * c for c in Counter(f.values).values())) // 2
         return VerificationResult(
@@ -273,10 +273,7 @@ def _verify_pairs(
     """Compare the codewords of every pair with different labels."""
     q, k = scheme.q, scheme.k
     total = q**k
-    if scheme.kind == "linear":
-        words = [tuple(cw) for cw in iter_codewords(scheme.generator)]
-    else:
-        words = [u + p for u, p in zip(iter_messages(q, k), scheme.parity_table)]
+    words = [u + p for u, p in zip(iter_messages(q, k), _parity_rows(scheme))]
     checked = 0
     for i in range(total):
         li = labels[i]
@@ -296,20 +293,18 @@ def _verify_pairs(
     return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
 
 
-def _light_free(scheme: FccScheme, need: int) -> bool:
-    """True when no nonzero codeword of a linear scheme has weight below
-    ``need``; stops at the first that has.
-
-    Reads the projective shells of the [I_k | P] generator up to shell
-    need - 1: a codeword in shell w >= need weighs at least w.
-    """
-    n = scheme.n
-    for w, cw in iter_projective_shells(scheme.generator):
-        if w >= need:
-            return True
-        if n - cw.count(0) < need:
-            return False
-    return True
+def _parity_rows(scheme: FccScheme) -> Sequence[tuple[int, ...]]:
+    """Parity of every message in rank order: the table of a table scheme,
+    or u.P for a linear one, built one digit at a time (appending the
+    digit d of row i adds d times the parity part of row i)."""
+    if scheme.kind == "table":
+        return scheme.parity_table
+    f, q, k = scheme.field, scheme.q, scheme.k
+    rows = [(0,) * scheme.r]
+    for g_row in scheme.generator.rows:
+        scaled = [tuple(f.mul(d, x) for x in g_row[k:]) for d in range(q)]
+        rows = [tuple(map(f.add, p, s)) for p in rows for s in scaled]
+    return rows
 
 
 def fcc_decode(

@@ -394,6 +394,44 @@ class TestErrorsAndParsing:
         assert parse_range_list("2..5") == (2, 3, 4, 5)
         assert parse_range_list("2,4..6,9") == (2, 4, 5, 6, 9)
 
+    @pytest.mark.parametrize("text", ["a", "2..x", "2..", "3,5..2"])
+    def test_malformed_range_list_exit_2(self, capsys, text):
+        # a reversed range inside a list was silently dropped before
+        with pytest.raises(FormatError):
+            parse_range_list(text)
+        code, out, err = run(
+            capsys, "grid", "--q", text, "--k", "1", "--t", "0", "--functions", "or",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert repr(text) in err
+
+    def test_negative_trials_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "or.scheme"
+        run(capsys, "construct", "or", "--q", "2", "--k", "3", "--t", "1",
+            "--out", str(path))
+        code, out, err = run(
+            capsys, "simulate", "--in", str(path), "--function", "or",
+            "--q", "2", "--k", "3", "--t", "1", "--trials", "-3",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: line 1: --trials must be non-negative, got -3\n"
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, source):
+        extra = ("--budget", "-1") if source == "flag" else ()
+        if source == "env":
+            monkeypatch.setenv("FCC_BUDGET", "-1")
+        code, out, err = run(
+            capsys, "search", "--function", "or", "--q", "2", "--k", "2", "--t", "1",
+            *extra,
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: line 1: budget must be non-negative, got -1\n"
+
     def test_threshold_spec_with_aux(self, capsys):
         code, out, _ = run(
             capsys, "search", "--function", "threshold:2", "--q", "2", "--k", "3",

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from fcckit import codes
 from fcckit.codes import (
     GeneratorMatrix,
-    iter_codewords,
     iter_projective_shells,
     linear_encode,
     min_distance,
@@ -16,6 +15,7 @@ from fcckit.codes import (
 )
 from fcckit.constructions import rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, RankDeficient
+from fcckit.fcc import FccScheme, _parity_rows
 from fcckit.gf import Field
 from fcckit.vectors import hamming_distance, hamming_weight, iter_messages
 
@@ -38,9 +38,14 @@ def brute_force_min_distance(g: GeneratorMatrix) -> int:
 
 
 def full_enumeration_min_distance(g: GeneratorMatrix) -> int:
-    """Oracle: the minimum weight over all q^k - 1 nonzero codewords of the
-    rank-order odometer, with no early stop."""
-    return min(g.n - cw.count(0) for cw in itertools.islice(iter_codewords(g), 1, None))
+    """Oracle: the minimum weight over all q^k - 1 nonzero codewords,
+    each encoded on its own, with no early stop."""
+    return min(hamming_weight(cw) for cw in nonzero_codewords(g))
+
+
+def nonzero_codewords(g: GeneratorMatrix) -> list[tuple[int, ...]]:
+    """Oracle: u . G for every nonzero message u, by ``linear_encode``."""
+    return [linear_encode(g, u) for u in itertools.islice(iter_messages(g.q, g.k), 1, None)]
 
 
 class TestLinearEncode:
@@ -208,36 +213,22 @@ def test_systematic_distance_dominates_message_distance(data):
     assert hamming_distance(linear_encode(g, u), linear_encode(g, v)) >= hamming_distance(u, v)
 
 
-def test_codewords_enumerates_all():
-    g = GeneratorMatrix(F2, [(1, 0, 1), (0, 1, 1)])
-    words = [tuple(cw) for cw in iter_codewords(g)]
-    assert words == [linear_encode(g, u) for u in iter_messages(2, 2)]
-    assert words[0] == (0, 0, 0)
-    assert len(set(words)) == 4
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_iter_codewords_matches_linear_encode(data):
-    # prime, 2^m and odd p^m fields: the odometer steps by field
-    # differences, which differ from index differences off the prime fields
-    q = data.draw(st.sampled_from([2, 3, 5, 7, 4, 8, 9, 25]))
-    f = Field(q)
+def test_parity_rows_match_linear_encode(data):
+    # the verifier's pair scan reads u . P built one digit at a time;
+    # prime, 2^m and odd p^m fields, r = 0 included
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25]))
     k = data.draw(st.integers(min_value=1, max_value=4 if q <= 3 else 2))
-    n = data.draw(st.integers(min_value=k, max_value=k + 3))
-    rows = data.draw(
-        st.lists(
-            st.tuples(*[st.integers(min_value=0, max_value=q - 1)] * n),
-            min_size=k,
-            max_size=k,
-        )
-    )
-    try:
-        g = GeneratorMatrix(f, rows)
-    except RankDeficient:
-        return
-    got = [tuple(cw) for cw in iter_codewords(g)]
-    assert got == [linear_encode(g, u) for u in iter_messages(q, k)]
+    r = data.draw(st.integers(min_value=0, max_value=3))
+    symbol = st.integers(0, q - 1)
+    rows = [
+        tuple(int(j == i) for j in range(k)) + data.draw(st.tuples(*[symbol] * r))
+        for i in range(k)
+    ]
+    g = GeneratorMatrix(Field(q), rows)
+    want = [linear_encode(g, u)[k:] for u in iter_messages(q, k)]
+    assert _parity_rows(FccScheme.linear(g)) == want
 
 
 # Largest k per field for the full-enumeration oracle: prime, 2^m and odd p^m.
@@ -282,4 +273,4 @@ def test_min_distance_matches_full_enumeration(data):
     assert [w for w, _ in shells] == sorted(w for w, _ in shells)
     assert all(hamming_weight(cw) >= w for w, cw in shells)
     multiples = {tuple(f.mul(a, x) for x in cw) for _, cw in shells for a in range(1, q)}
-    assert multiples == {tuple(cw) for cw in itertools.islice(iter_codewords(g), 1, None)}
+    assert multiples == set(nonzero_codewords(g))

@@ -19,12 +19,12 @@ from fcckit.errors import (
     NotSystematic,
     UnknownFunction,
 )
-from fcckit.codes import GeneratorMatrix, iter_codewords
+from fcckit.codes import GeneratorMatrix, linear_encode
 from fcckit.fcc import (
     BUILTIN_NAMES,
     FccScheme,
     FunctionTable,
-    _light_free,
+    _parity_rows,
     builtin_function,
     fcc_decode,
     fcc_encode,
@@ -200,8 +200,8 @@ def verdict(result):
 
 
 def refuse_walks(monkeypatch, *names):
-    """Make any call of the named codeword walks in ``fcckit.fcc`` fail
-    the test."""
+    """Make any call of the named ``fcckit.fcc`` helpers (``min_distance``,
+    the pair scan's ``_parity_rows``) fail the test."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("walked the codewords")
@@ -272,9 +272,9 @@ class TestVerify:
 
     def test_budget_refuses_before_any_work(self, monkeypatch):
         # 2^16 messages are 2^31 - 2^15 pairs, far over the default budget;
-        # neither the weight shells nor the pair scan may start
+        # neither min_distance nor the pair scan's parity table may start
         s = bch_systematic(16, 3).scheme
-        refuse_walks(monkeypatch, "iter_codewords", "iter_projective_shells")
+        refuse_walks(monkeypatch, "min_distance", "_parity_rows")
         with pytest.raises(BudgetExceeded) as exc:
             verify_fcc(s, builtin_function("or", 2, 16), 3)
         assert exc.value.details["required"] == 2**16 * (2**16 - 1) // 2
@@ -301,24 +301,24 @@ class TestVerify:
             verify_fcc(rs_systematic(5, 2, 1).scheme, builtin_function("or", 5, 2), -1)
 
     def test_linear_pass_on_83521_messages(self, monkeypatch):
-        # the weight shells pass rs(17,4,2) without a pair scan, and
+        # min_distance passes rs(17,4,2) without a pair scan, and
         # pairs_checked is the closed-form count of different-label pairs
         s = rs_systematic(17, 4, 2).scheme
-        refuse_walks(monkeypatch, "iter_codewords")
+        refuse_walks(monkeypatch, "_parity_rows")
         result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
         assert verdict(result) == (True, None, None, 17**4 - 1)
 
     def test_linear_failure_on_83521_messages(self, monkeypatch):
         # d = 3 < 2t+1 = 5: the first violation pairs zero with the
         # lowest-rank message whose codeword has weight below 5; each
-        # verify walks the odometer afresh, keeping nothing on the scheme
+        # verify builds the parity table afresh, keeping nothing on the scheme
         s = rs_systematic(17, 4, 1).scheme
-        walks = []
+        builds = []
         monkeypatch.setattr(
-            fcckit.fcc, "iter_codewords", lambda g: walks.append(g) or iter_codewords(g)
+            fcckit.fcc, "_parity_rows", lambda sc: builds.append(sc) or _parity_rows(sc)
         )
         result = verify_fcc(s, builtin_function("or", 17, 4), 2, budget=2**33)
-        assert walks == [s.generator]
+        assert builds == [s]
         rank, v = next(
             (rank, v)
             for rank, v in enumerate(iter_messages(17, 4))
@@ -328,11 +328,11 @@ class TestVerify:
         assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
 
     def test_linear_pass_and_decode_build_no_codebook(self, monkeypatch):
-        # the weight check walks the projective shells and a decode within
-        # the radius encodes the message ball: neither lists the codewords
+        # the weight check reads min_distance and a decode within the
+        # radius encodes the message ball: neither lists the codewords
         s = rs_systematic(9, 3, 2).scheme
         f = builtin_function("identity", 9, 3)
-        refuse_walks(monkeypatch, "iter_codewords")
+        refuse_walks(monkeypatch, "_parity_rows")
         assert verdict(verify_fcc(s, f, 2)) == (True, None, None, 9**3 * (9**3 - 1) // 2)
         u = (8, 0, 5)
         y = inject(s.field, fcc_encode(s, u), 2, seed=random.Random(9))
@@ -589,8 +589,11 @@ def test_linear_verify_matches_pair_oracle(data):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
-def test_light_free_matches_full_weight_pass(data):
-    # prime, 2^m and odd p^m fields; r = 0 and zero parity rows give d = 1
+def test_linear_verify_matches_min_weight(data):
+    # a linear scheme passes for every f exactly when its minimum weight
+    # is at least 2t+1; identity labels every pair differently, so it
+    # passes for no lighter scheme.  Prime, 2^m and odd p^m fields; r = 0
+    # and zero parity rows give d = 1
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 25]))
     k = data.draw(st.integers(min_value=1, max_value=_MAX_K.get(q, 2)))
     r = data.draw(st.integers(min_value=0, max_value=4))
@@ -600,9 +603,13 @@ def test_light_free_matches_full_weight_pass(data):
         for i in range(k)
     ]
     s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
-    weights = [s.n - cw.count(0) for cw in itertools.islice(iter_codewords(s.generator), 1, None)]
-    for need in range(1, s.n + 2):
-        assert _light_free(s, need) == all(w >= need for w in weights), need
+    d = min(
+        hamming_weight(linear_encode(s.generator, u))
+        for u in itertools.islice(iter_messages(q, k), 1, None)
+    )
+    f = builtin_function("identity", q, k)
+    for t in range(s.n // 2 + 2):
+        assert verify_fcc(s, f, t).ok == (d >= 2 * t + 1), t
 
 
 def full_scan_decode(scheme, f, y):
