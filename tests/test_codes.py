@@ -213,11 +213,22 @@ def test_systematic_distance_dominates_message_distance(data):
     assert hamming_distance(linear_encode(g, u), linear_encode(g, v)) >= hamming_distance(u, v)
 
 
+def test_codewords_enumerates_all():
+    # the verifier enumerates the codewords u . [I | P] in message rank
+    # order as u followed by its row of ``_parity_rows``
+    g = GeneratorMatrix(F2, [(1, 0, 1), (0, 1, 1)])
+    messages = list(iter_messages(2, 2))
+    words = [u + p for u, p in zip(messages, _parity_rows(FccScheme.linear(g)))]
+    assert words == [linear_encode(g, u) for u in messages]
+    assert words[0] == (0, 0, 0)
+    assert len(set(words)) == 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_parity_rows_match_linear_encode(data):
-    # the verifier's pair scan reads u . P built one digit at a time;
-    # prime, 2^m and odd p^m fields, r = 0 included
+def test_iter_codewords_matches_linear_encode(data):
+    # the verifier's codeword enumeration reads u . P built one digit at a
+    # time by ``_parity_rows``; prime, 2^m and odd p^m fields, r = 0 included
     q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25]))
     k = data.draw(st.integers(min_value=1, max_value=4 if q <= 3 else 2))
     r = data.draw(st.integers(min_value=0, max_value=3))
