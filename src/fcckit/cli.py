@@ -3,6 +3,8 @@
 Subcommands: construct (rs|bch|or), encode, decode, verify, search,
 bounds, simulate, grid.  Exit codes: 0 success; 1 verification,
 decoding, or simulation failure; 2 malformed input; 3 budget exceeded.
+A malformed file's error names its line; a malformed argument's
+(``ArgumentError``) names none.
 The FCC_BUDGET environment variable overrides the default budgets and
 --budget overrides both.
 """
@@ -24,11 +26,11 @@ from . import defaults
 from .channel import inject
 from .constructions import bch_systematic, or_scheme, rs_systematic
 from .errors import (
+    ArgumentError,
     BeyondRadius,
     BoundUndefined,
     BudgetExceeded,
     FccError,
-    FormatError,
     IoError,
 )
 from .fcc import (
@@ -75,9 +77,9 @@ def _resolve_budget(flag_value: int | None, fallback: int) -> int:
         try:
             budget = int(env)
         except ValueError as exc:
-            raise FormatError(f"FCC_BUDGET is not an integer: {env!r}", 1) from exc
+            raise ArgumentError(f"FCC_BUDGET is not an integer: {env!r}") from exc
     if budget is not None and budget < 0:
-        raise FormatError(f"budget must be non-negative, got {budget}", 1)
+        raise ArgumentError(f"budget must be non-negative, got {budget}")
     return fallback if budget is None else budget
 
 
@@ -89,8 +91,8 @@ def parse_function_spec(spec: str, q: int, k: int) -> FunctionTable:
         try:
             aux = tuple(int(tok) for tok in aux_text.split(","))
         except ValueError:
-            raise FormatError(
-                f"function spec {spec!r}: aux must be comma-separated integers", 1
+            raise ArgumentError(
+                f"function spec {spec!r}: aux must be comma-separated integers"
             ) from None
     return builtin_function(name, q, k, aux)
 
@@ -101,8 +103,8 @@ def _load_function(args: argparse.Namespace) -> FunctionTable:
     if os.path.exists(ref) or os.sep in ref:
         return parse_function_file(_read_text(ref))
     if args.q is None or args.k is None:
-        raise FormatError(
-            f"builtin function {ref!r} needs --q and --k (or pass a file path)", 1
+        raise ArgumentError(
+            f"builtin function {ref!r} needs --q and --k (or pass a file path)"
         )
     return parse_function_spec(ref, args.q, args.k)
 
@@ -116,7 +118,7 @@ def _load_scheme(path: str) -> FccScheme:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family in ("rs", "or") and args.q is None:
-        raise FormatError(f"construct {args.family} needs --q", 1)
+        raise ArgumentError(f"construct {args.family} needs --q")
     if args.family == "rs":
         report = rs_systematic(args.q, args.k, args.t)
         scheme = report.scheme
@@ -228,7 +230,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     f = _load_function(args)
     check_radius(args.t)
     if args.trials < 0:
-        raise FormatError(f"--trials must be non-negative, got {args.trials}", 1)
+        raise ArgumentError(f"--trials must be non-negative, got {args.trials}")
     budget = _resolve_budget(args.budget, defaults.ENUMERATION_BUDGET)
     rng = random.Random(args.seed)
     failures = 0
@@ -389,12 +391,12 @@ def parse_range_list(text: str) -> tuple[int, ...]:
             lo = int(lo_text)
             hi = int(hi_text) if sep else lo
         except ValueError:
-            raise FormatError(f"range list {text!r}: {part!r} is not an integer or a..b", 1) from None
+            raise ArgumentError(f"range list {text!r}: {part!r} is not an integer or a..b") from None
         if lo > hi:
-            raise FormatError(f"range list {text!r}: {part!r} is an empty range", 1)
+            raise ArgumentError(f"range list {text!r}: {part!r} is an empty range")
         out.extend(range(lo, hi + 1))
     if not out:
-        raise FormatError(f"empty range list: {text!r}", 1)
+        raise ArgumentError(f"empty range list: {text!r}")
     return tuple(out)
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from . import defaults
 from .errors import BudgetExceeded, DimensionError, RankDeficient
 from .gf import Field
-from .vectors import check_vector
+from .vectors import check_rows, check_vector
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class GeneratorMatrix:
         if k > n:
             raise DimensionError(f"more rows ({k}) than columns ({n})")
         self.field = field
-        self.rows = tuple(check_vector(row, field.q, n, "generator row") for row in rows)
+        self.rows = check_rows(rows, field.q, n, "generator row")
         self.k = k
         self.n = n
         # an identity block already proves rank k

@@ -95,5 +95,11 @@ class FormatError(FccError, ValueError):
         self.line = line
 
 
+class ArgumentError(FccError, ValueError):
+    """Malformed command-line argument, builtin function spec or
+    FCC_BUDGET value.  No file is involved, so unlike FormatError it
+    carries no line number."""
+
+
 class IoError(FccError, OSError):
     """Reading or writing an input/output file failed."""

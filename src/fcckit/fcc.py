@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import ne
+from operator import ne, xor
 from typing import Sequence
 
 from . import defaults
@@ -36,6 +36,7 @@ from .errors import (
 from .gf import Field, prime_power_split
 from .vectors import (
     check_radius,
+    check_rows,
     check_vector,
     iter_messages,
     message_rank,
@@ -61,7 +62,7 @@ class FunctionTable:
             raise DimensionError(
                 f"function table has {len(self.values)} entries, expected {expected}"
             )
-        if any(v < 0 for v in self.values):
+        if min(self.values) < 0:
             raise DimensionError("function labels must be non-negative integers")
 
     @property
@@ -83,8 +84,9 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
     message by the field index of the dot product; ``threshold`` takes an
     integer aux and indicates Hamming weight >= aux.  The other families
     take no aux, and one given to them is rejected.  ``hamming_weight``,
-    ``threshold`` and ``linear`` build their tables one digit at a time:
-    the table over k - 1 symbols, extended by every last digit d.
+    ``threshold`` and ``linear`` build their tables one digit at a time,
+    by whole-table maps: the messages with leading digit d are rank block
+    d, each the table over k - 1 symbols with d's term added.
     """
     prime_power_split(q)
     if k < 1:
@@ -106,16 +108,21 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
         coeffs = check_vector(tuple(aux), q, k, "coefficient vector")
         f = Field(q)
         values = [0]
-        for a in coeffs:
-            # append one digit d to every message: the dot product v becomes
-            # rows[v][d] = v + a*d
-            rows = [[f.add(v, f.mul(a, d)) for d in range(q)] for v in range(q)]
-            values = [x for v in values for x in rows[v]]
+        for a in reversed(coeffs):
+            # prepend one digit d to every message: the dot product v
+            # becomes shift[v] = v + a*d
+            blocks = []
+            for d in range(q):
+                ad = f.mul(a, d)
+                shift = [f.add(v, ad) for v in range(q)]
+                blocks += map(shift.__getitem__, values)
+            values = blocks
     elif name == "threshold":
         if aux is None or isinstance(aux, (tuple, list)) and len(aux) != 1:
             raise DimensionError("threshold needs a single integer aux")
         theta = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
-        values = [1 if w >= theta else 0 for w in _weight_table(q, k)]
+        indicator = [1 if w >= theta else 0 for w in range(k + 1)]
+        values = map(indicator.__getitem__, _weight_table(q, k))
     else:
         raise UnknownFunction(f"no built-in function named {name!r}")
     return FunctionTable(q=q, k=k, values=tuple(values))
@@ -123,10 +130,11 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
 
 def _weight_table(q: int, k: int) -> list[int]:
     """Hamming weight of every message of F_q^k in rank order, built digit
-    by digit: appending the digit d to a message adds (d != 0)."""
+    by digit: prepending the digit 0 keeps every weight, and each of the
+    q - 1 nonzero digits adds one."""
     weights = [0]
     for _ in range(k):
-        weights = [w + (d != 0) for w in weights for d in range(q)]
+        weights += list(map((1).__add__, weights)) * (q - 1)
     return weights
 
 
@@ -176,9 +184,7 @@ class FccScheme:
                 f"parity table has {len(parity_rows)} rows, expected {q**k}"
             )
         r = len(parity_rows[0]) if parity_rows else 0
-        table = tuple(
-            check_vector(row, q, r, "parity row") for row in parity_rows
-        )
+        table = check_rows(parity_rows, q, r, "parity row")
         return cls(kind="table", field=field, k=k, r=r, parity_table=table)
 
     @property
@@ -295,15 +301,18 @@ def _verify_pairs(
 
 def _parity_rows(scheme: FccScheme) -> Sequence[tuple[int, ...]]:
     """Parity of every message in rank order: the table of a table scheme,
-    or u.P for a linear one, built one digit at a time (appending the
-    digit d of row i adds d times the parity part of row i)."""
+    or u.P for a linear one, built one digit at a time from the last
+    generator row up (prepending the digit d of row i adds d times the
+    parity part of row i to every row so far).  Addition in characteristic
+    2 is XOR."""
     if scheme.kind == "table":
         return scheme.parity_table
-    f, q, k = scheme.field, scheme.q, scheme.k
+    f, k = scheme.field, scheme.k
+    add = xor if f.p == 2 else f.add
     rows = [(0,) * scheme.r]
-    for g_row in scheme.generator.rows:
-        scaled = [tuple(f.mul(d, x) for x in g_row[k:]) for d in range(q)]
-        rows = [tuple(map(f.add, p, s)) for p in rows for s in scaled]
+    for g_row in reversed(scheme.generator.rows):
+        scaled = [tuple(f.mul(d, x) for x in g_row[k:]) for d in range(1, scheme.q)]
+        rows += [tuple(map(add, p, s)) for s in scaled for p in rows]
     return rows
 
 

@@ -22,6 +22,7 @@ coefficients; the zero polynomial has empty coefficients and degree -inf.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -354,8 +355,10 @@ def _is_irreducible(p: int, modulus: Sequence[int]) -> bool:
     return True
 
 
+@cache
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Monic irreducible of degree m over F_p with the smallest index encoding."""
+    """Monic irreducible of degree m over F_p with the smallest index
+    encoding; searched once per (p, m), since every ``Field(p**m)`` asks."""
     for idx in range(p**m, 2 * p**m):
         coeffs = []
         rest = idx

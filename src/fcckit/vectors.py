@@ -97,3 +97,22 @@ def check_vector(u: Sequence[int], q: int, length: int, what: str = "vector") ->
         if not (0 <= x < q):
             raise DimensionError(f"{what} symbol {x} outside [0, {q})")
     return tuple(u)
+
+
+def check_rows(
+    rows: Sequence[Sequence[int]], q: int, length: int, what: str = "row"
+) -> tuple[tuple[int, ...], ...]:
+    """``check_vector`` on every row, validated in bulk (row lengths as one
+    set, symbols by the min and max of the set of every row's symbols);
+    return the rows as tuples.  Only when that fails are the rows checked
+    one by one, so the error names the first bad row exactly as
+    ``check_vector`` would."""
+    rows = tuple(map(tuple, rows))
+    symbols = set().union(*rows)
+    if set(map(len, rows)) <= {length} and (
+        not symbols or (min(symbols) >= 0 and max(symbols) < q)
+    ):
+        return rows
+    for row in rows:
+        check_vector(row, q, length, what)
+    raise AssertionError("bulk row check rejected rows that check_vector accepts")

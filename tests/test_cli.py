@@ -13,7 +13,7 @@ from fcckit.cli import (
     parse_range_list,
     run_experiment_grid,
 )
-from fcckit.errors import DimensionError, FormatError
+from fcckit.errors import ArgumentError, DimensionError
 from fcckit.formats import parse_scheme_file
 
 
@@ -301,7 +301,7 @@ class TestGrid:
 
     def test_bad_cell_raises_at_call(self):
         # checked before the first row, without iterating
-        with pytest.raises(FormatError):
+        with pytest.raises(ArgumentError):
             run_experiment_grid(
                 GridSpec(qs=(2,), ks=(2,), ts=(1,), functions=("or", "linear:x"))
             )
@@ -397,7 +397,7 @@ class TestErrorsAndParsing:
     @pytest.mark.parametrize("text", ["a", "2..x", "2..", "3,5..2"])
     def test_malformed_range_list_exit_2(self, capsys, text):
         # a reversed range inside a list was silently dropped before
-        with pytest.raises(FormatError):
+        with pytest.raises(ArgumentError):
             parse_range_list(text)
         code, out, err = run(
             capsys, "grid", "--q", text, "--k", "1", "--t", "0", "--functions", "or",
@@ -406,6 +406,38 @@ class TestErrorsAndParsing:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert repr(text) in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("grid", "--q", "a", "--k", "1", "--t", "0", "--functions", "or"),
+             "range list 'a': 'a' is not an integer or a..b"),
+            (("grid", "--q", "2", "--k", "3..2", "--t", "0", "--functions", "or"),
+             "range list '3..2': '3..2' is an empty range"),
+            (("grid", "--q", ",", "--k", "1", "--t", "0", "--functions", "or"),
+             "empty range list: ','"),
+            (("search", "--function", "linear:x", "--q", "2", "--k", "1", "--t", "1"),
+             "function spec 'linear:x': aux must be comma-separated integers"),
+            (("search", "--function", "or", "--t", "1"),
+             "builtin function 'or' needs --q and --k (or pass a file path)"),
+            (("construct", "rs", "--k", "2", "--t", "1"), "construct rs needs --q"),
+        ],
+    )
+    def test_argument_error_has_no_line(self, capsys, argv, message):
+        # no file is involved, so no "line 1:" prefix
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_non_integer_env_budget_has_no_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("FCC_BUDGET", "lots")
+        code, out, err = run(
+            capsys, "search", "--function", "or", "--q", "2", "--k", "2", "--t", "1",
+        )
+        assert code == EXIT_FORMAT
+        assert out == ""
+        assert err == "error: FCC_BUDGET is not an integer: 'lots'\n"
 
     def test_negative_trials_exit_2(self, tmp_path, capsys):
         path = tmp_path / "or.scheme"
@@ -417,7 +449,7 @@ class TestErrorsAndParsing:
         )
         assert code == EXIT_FORMAT
         assert out == ""
-        assert err == "error: line 1: --trials must be non-negative, got -3\n"
+        assert err == "error: --trials must be non-negative, got -3\n"
 
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_negative_budget_exit_2(self, capsys, monkeypatch, source):
@@ -430,7 +462,7 @@ class TestErrorsAndParsing:
         )
         assert code == EXIT_FORMAT
         assert out == ""
-        assert err == "error: line 1: budget must be non-negative, got -1\n"
+        assert err == "error: budget must be non-negative, got -1\n"
 
     def test_threshold_spec_with_aux(self, capsys):
         code, out, _ = run(
@@ -449,7 +481,7 @@ class TestErrorsAndParsing:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "linear:x" in err
-        with pytest.raises(FormatError):
+        with pytest.raises(ArgumentError):
             parse_function_spec("linear:x", 2, 1)
 
     def test_threshold_extra_aux_exit_2(self, capsys):

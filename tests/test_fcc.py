@@ -17,6 +17,7 @@ from fcckit.errors import (
     BudgetExceeded,
     DimensionError,
     NotSystematic,
+    RankDeficient,
     UnknownFunction,
 )
 from fcckit.codes import GeneratorMatrix, linear_encode
@@ -34,6 +35,7 @@ from fcckit.fcc import (
 )
 from fcckit.gf import Field
 from fcckit.vectors import (
+    check_vector,
     hamming_distance,
     hamming_weight,
     iter_messages,
@@ -123,7 +125,7 @@ def loop_builtin_function(name, q, k, aux=None):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)),
+    q=st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16)),
     k=st.integers(min_value=1, max_value=4),
     name=st.sampled_from(BUILTIN_NAMES),
     data=st.data(),
@@ -141,6 +143,28 @@ def test_builtin_function_matches_per_message_loops(q, k, name, data):
     assert got.values == loop_builtin_function(name, q, k, aux)
 
 
+def builtin_cases(q, k):
+    """Every built-in family over F_q^k with the aux values worth checking:
+    linear coefficient vectors with zeros at the start, the end and in
+    between, and every threshold from below 0 to above k."""
+    yield from ((name, None) for name in ("or", "constant", "identity", "hamming_weight"))
+    zeros_between = tuple((i % q) * (i % 2) for i in range(k))
+    for coeffs in ((0,) * k, zeros_between, (q - 1,) + (0,) * (k - 1), tuple(range(q - k, q))):
+        yield "linear", tuple(x % q for x in coeffs)
+    for theta in range(-1, k + 2):
+        yield "threshold", theta
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16))
+def test_every_builtin_table_matches_per_message_loops(q):
+    for k in range(1, 5):
+        for name, aux in builtin_cases(q, k):
+            got = builtin_function(name, q, k, aux).values
+            assert got == loop_builtin_function(name, q, k, aux), (name, q, k, aux)
+            # labels stay ints, so a function file is written the same way
+            assert all(type(v) is int for v in got)
+
+
 class TestSchemeConstruction:
     def test_linear_requires_systematic(self):
         g = GeneratorMatrix(Field(2), [(0, 1, 1), (1, 0, 1)])
@@ -154,6 +178,65 @@ class TestSchemeConstruction:
     def test_tabular_row_width(self):
         with pytest.raises(DimensionError):
             FccScheme.tabular(2, 1, [(0, 0), (1,)])
+
+
+def first_bad_row_error(rows, q, width, what):
+    """Oracle: check_vector on each row in order; the first error's text,
+    or None when every row passes."""
+    for row in rows:
+        try:
+            check_vector(row, q, width, what)
+        except DimensionError as exc:
+            return str(exc)
+    return None
+
+
+def bad_rows(data, q, width, count):
+    """Rows of about ``width`` symbols, a few of them short, long or with a
+    symbol outside [0, q)."""
+    bad_symbols = data.draw(st.booleans(), label="bad symbols")
+    symbol = st.integers(-2, q + 1) if bad_symbols else st.integers(0, q - 1)
+    widths = st.sampled_from((width,) * 6 + tuple(w for w in (width - 1, width + 1) if w >= 0))
+    return [
+        tuple(data.draw(st.lists(symbol, min_size=w, max_size=w), label="row"))
+        for w in (data.draw(widths, label="width") for _ in range(count))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tabular_rejects_first_bad_row_as_check_vector(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5)), label="q")
+    k = data.draw(st.integers(1, 2), label="k")
+    r = data.draw(st.integers(0, 3), label="r")
+    rows = [(0,) * r] + bad_rows(data, q, r, q**k - 1)
+    expected = first_bad_row_error(rows, q, r, "parity row")
+    if expected is None:
+        assert FccScheme.tabular(q, k, rows).parity_table == tuple(rows)
+    else:
+        with pytest.raises(DimensionError) as exc:
+            FccScheme.tabular(q, k, rows)
+        assert str(exc.value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_generator_matrix_rejects_first_bad_row_as_check_vector(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5)), label="q")
+    n = data.draw(st.integers(2, 6), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    rows = [tuple(1 if j == i else 0 for j in range(n)) for i in range(k)]
+    rows[1:] = bad_rows(data, q, n, k - 1)
+    expected = first_bad_row_error(rows, q, n, "generator row")
+    if expected is None:
+        try:
+            assert GeneratorMatrix(Field(q), rows).rows == tuple(rows)
+        except RankDeficient:
+            pass
+    else:
+        with pytest.raises(DimensionError) as exc:
+            GeneratorMatrix(Field(q), rows)
+        assert str(exc.value) == expected
 
 
 class TestEncode:
