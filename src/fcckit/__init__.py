@@ -9,7 +9,6 @@ search at desk scale.
 
 from .bounds import (
     BoundReport,
-    bch_redundancy_bound,
     lower_bound,
     mds_equality,
     sphere_packing_min_r,
@@ -36,8 +35,8 @@ from .formats import (
     serialize_function_file,
     serialize_scheme_file,
 )
-from .gf import Field, Polynomial, lagrange_interpolate, minimal_poly, poly_eval
-from .search import RedundancySearchResult, RequirementSet, exact_redundancy, pair_requirement
+from .gf import Field, minimal_poly
+from .search import RedundancySearchResult, RequirementSet, exact_redundancy
 
 __version__ = "0.1.0"
 
@@ -52,11 +51,9 @@ __all__ = [
     "Field",
     "FunctionTable",
     "GeneratorMatrix",
-    "Polynomial",
     "RedundancySearchResult",
     "RequirementSet",
     "VerificationResult",
-    "bch_redundancy_bound",
     "bch_systematic",
     "builtin_function",
     "enumerate_errors",
@@ -65,17 +62,14 @@ __all__ = [
     "fcc_encode",
     "find_critical_pair",
     "inject",
-    "lagrange_interpolate",
     "linear_encode",
     "lower_bound",
     "mds_equality",
     "min_distance",
     "minimal_poly",
     "or_scheme",
-    "pair_requirement",
     "parse_function_file",
     "parse_scheme_file",
-    "poly_eval",
     "rs_systematic",
     "serialize_function_file",
     "serialize_scheme_file",

@@ -42,15 +42,6 @@ def upper_bound_binary(k: int, t: int) -> float:
     return t * math.log2(2 * k) / denom
 
 
-def bch_redundancy_bound(n: int, t: int) -> int:
-    """floor(t * log2(n+1)), computed exactly as the bit length of (n+1)^t."""
-    if n < 1:
-        raise DimensionError(f"n must be at least 1, got {n}")
-    if t < 1:
-        raise DimensionError(f"t must be at least 1, got {t}")
-    return ((n + 1) ** t).bit_length() - 1
-
-
 def bch_extension_degree(k: int, t: int) -> int:
     """Smallest m with 2^m - 1 >= k + m*t: the BCH length-selection rule."""
     m = 2

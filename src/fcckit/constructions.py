@@ -1,23 +1,25 @@
 """Concrete systematic encoders with designed distance 2t+1.
 
-Three families: an interpolation-based systematic MDS code for fields
-with q >= k + 2t (redundancy exactly 2t, the optimum), a shortened
-narrow-sense binary BCH code (redundancy at most t * log2(n+1)), and the
-two-valued parity scheme that protects the nonzero-message indicator
-with the bare-minimum 2t redundancy at any alphabet size.
+Three families: a systematic MDS (Reed-Solomon) code for fields with
+q >= k + 2t (redundancy exactly 2t, the optimum), a shortened
+narrow-sense binary BCH code (redundancy at most m * t, where 2^m - 1 is
+the unshortened length), and the two-valued parity scheme that protects
+the nonzero-message indicator with the bare-minimum 2t redundancy at any
+alphabet size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 
 from . import defaults
 from .bounds import bch_extension_degree
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, DimensionError, FieldTooSmall
 from .fcc import FccScheme
-from .gf import Field, Polynomial, lagrange_interpolate, minimal_poly, poly_eval
+from .gf import Field, minimal_poly
 
 
 @dataclass(frozen=True)
@@ -49,22 +51,28 @@ def _check_kt(k: int, t: int) -> None:
 def rs_systematic(q: int, k: int, t: int) -> ConstructionReport:
     """Systematic [k+2t, k, 2t+1]_q MDS generator [I_k | P].
 
-    Messages are the values of a degree-<k polynomial at the first k
-    field elements; parity column j holds its value at element k+j.
-    Needs q >= k + 2t so that all n evaluation points are distinct.
+    Messages are the values of a degree-<k polynomial at the field
+    elements x_0..x_{k-1} (indices 0..k-1); parity column j holds its value
+    at x_{k+j}.  Row i is the Lagrange basis polynomial of x_i, so in
+    closed form P[i][j] = prod over l != i, l < k of
+    (x_{k+j} - x_l) / (x_i - x_l).  Needs q >= k + 2t so that all n
+    evaluation points are distinct.
     """
     _check_kt(k, t)
     field = Field(q)
     n = k + 2 * t
     if q < n:
         raise FieldTooSmall(f"systematic MDS needs q >= k + 2t = {n}, got q = {q}")
-    points = list(range(n))
+    sub, mul = field.sub, field.mul
+    zeros = (0,) * k
     rows = []
     for i in range(k):
-        support = [(points[j], 1 if j == i else 0) for j in range(k)]
-        poly = lagrange_interpolate(field, support)
-        parity = tuple(poly_eval(poly, points[k + j]) for j in range(2 * t))
-        rows.append(tuple(1 if j == i else 0 for j in range(k)) + parity)
+        others = [x for x in range(k) if x != i]
+        scale = field.inv(reduce(mul, (sub(i, x) for x in others), 1))
+        parity = tuple(
+            reduce(mul, (sub(y, x) for x in others), scale) for y in range(k, n)
+        )
+        rows.append(zeros[:i] + (1,) + zeros[i + 1 :] + parity)
     return ConstructionReport(
         name="rs_systematic",
         q=q,
@@ -99,19 +107,15 @@ def bch_systematic(
         )
     ext = Field(2**m)
     alpha = ext.primitive_element()
-    f2 = Field(2)
-    g = Polynomial(f2, (1,))
-    seen: set[tuple[int, ...]] = set()
-    for i in range(1, 2 * t + 1):
-        mp = minimal_poly(ext, ext.pow(alpha, i), 2)
-        if mp.coeffs not in seen:
-            seen.add(mp.coeffs)
-            g = g * mp
-    r = g.degree
-    # Row i's parity is x^(r+i) mod g (over F_2, -1 = 1), as a bit mask with
-    # bit j for x^j.  Each remainder is the last one times x: an LFSR step
-    # that shifts up and reduces by g when the x^r bit comes out.
-    g_mask = sum(c << j for j, c in enumerate(g.coeffs))
+    # g as an F_2 bit mask, bit j for x^j; each minimal polynomial is
+    # multiplied in by a carry-less shift-and-XOR product.
+    g_mask = 1
+    for mp in {minimal_poly(ext, ext.pow(alpha, i)) for i in range(1, 2 * t + 1)}:
+        g_mask = reduce(xor, (g_mask << j for j, c in enumerate(mp) if c))
+    r = g_mask.bit_length() - 1
+    # Row i's parity is x^(r+i) mod g (over F_2, -1 = 1), as a bit mask.
+    # Each remainder is the last one times x: an LFSR step that shifts up
+    # and reduces by g when the x^r bit comes out.
     top = 1 << r
     rem = g_mask ^ top  # x^r mod g
     zeros = (0,) * k
@@ -130,7 +134,7 @@ def bch_systematic(
         n=k + r,
         r=r,
         claimed_distance=2 * t + 1,
-        generator=GeneratorMatrix(f2, rows),
+        generator=GeneratorMatrix(Field(2), rows),
     )
 
 

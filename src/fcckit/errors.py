@@ -28,14 +28,6 @@ class ReducibleModulus(FccError, ValueError):
     """Supplied extension-field modulus is not monic irreducible of the right degree."""
 
 
-class DuplicateNode(FccError, ValueError):
-    """Interpolation nodes are not pairwise distinct."""
-
-
-class EmptyInput(FccError, ValueError):
-    """An operation that needs at least one item received none."""
-
-
 class DimensionError(FccError, ValueError):
     """Vector or matrix shape does not match the declared dimensions."""
 

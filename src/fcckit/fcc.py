@@ -409,8 +409,3 @@ def find_critical_pair(
                         if values[v] != label:
                             return u, unrank_message(v, q, k)
     return None
-
-
-def identity_scheme(q: int, k: int) -> FccScheme:
-    """The r = 0 scheme c(u) = u."""
-    return FccScheme.tabular(q, k, [()] * q**k)

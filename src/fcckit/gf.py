@@ -15,9 +15,6 @@ Z(d) = log(1 + alpha^d), a + b = alpha^(log a + Z(log b - log a)) for
 nonzero a, b, and Z(d) is undefined exactly where 1 + alpha^d = 0, i.e. at
 d = (q-1)/2, since -1 = alpha^((q-1)/2).  Each Z(d) comes from one step
 of the index encoding: 1 + x raises only the constant coefficient.
-
-Polynomials are stored lowest-degree-first with no trailing zero
-coefficients; the zero polynomial has empty coefficients and degree -inf.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionError,
     DivisionByZero,
-    DuplicateNode,
-    EmptyInput,
     FieldMismatch,
     InvalidOrder,
     ReducibleModulus,
@@ -251,9 +246,6 @@ class Field:
                     break
         return self._primitive
 
-    def prime_subfield(self) -> "Field":
-        return self if self.m == 1 else Field(self.p)
-
     # -- internals -------------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -370,172 +362,16 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     raise InvalidOrder(f"no irreducible polynomial of degree {m} over F_{p}")  # pragma: no cover
 
 
-class Polynomial:
-    """Polynomial over a Field, coefficients lowest degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs: Iterable[int] = ()):
-        vec = [field.check(c) for c in coeffs]
-        while vec and vec[-1] == 0:
-            vec.pop()
-        self.field = field
-        self.coeffs = tuple(vec)
-
-    @property
-    def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def _coerced(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"polynomials over {self.field!r} and {other.field!r}")
-        return other
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        other = self._coerced(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Polynomial(f, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, (self.field.neg(c) for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-self._coerced(other))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        other = self._coerced(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field)
-        f = self.field
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return Polynomial(f, out)
-
-    def shift(self, n: int) -> "Polynomial":
-        """Multiply by x**n."""
-        if self.is_zero():
-            return self
-        return Polynomial(self.field, (0,) * n + self.coeffs)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        other = self._coerced(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        f = self.field
-        rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        lead_inv = f.inv(other.coeffs[-1])
-        quot = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = f.mul(rem[i], lead_inv)
-            if c:
-                quot[i - dd] = c
-                for j, y in enumerate(other.coeffs):
-                    rem[i - dd + j] = f.sub(rem[i - dd + j], f.mul(c, y))
-        return Polynomial(f, quot), Polynomial(f, rem[:dd])
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __call__(self, x: int) -> int:
-        return poly_eval(self, x)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
-        return " + ".join(terms)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self.field!r}, {list(self.coeffs)})"
-
-
-def poly_eval(poly: Polynomial, x: int) -> int:
-    """Horner evaluation of poly at the element with index x."""
-    f = poly.field
-    f.check(x)
-    acc = 0
-    for c in reversed(poly.coeffs):
-        acc = f.add(f.mul(acc, x), c)
-    return acc
-
-
-def lagrange_interpolate(field: Field, points: Sequence[tuple[int, int]]) -> Polynomial:
-    """Unique polynomial of degree < len(points) through the given points."""
-    if not points:
-        raise EmptyInput("interpolation needs at least one point")
-    xs = [field.check(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode(f"interpolation nodes are not distinct: {xs}")
-    result = Polynomial(field)
-    for i, (xi, yi) in enumerate(points):
-        field.check(yi)
-        if yi == 0:
-            continue
-        basis = Polynomial(field, (yi,))
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            inv = field.inv(field.sub(xi, xj))
-            # basis *= (x - xj) / (xi - xj)
-            basis = basis * Polynomial(field, (field.mul(field.neg(xj), inv), inv))
-        result = result + basis
-    return result
-
-
-def minimal_poly(field: Field, beta: int, subfield_char: int) -> Polynomial:
-    """Monic polynomial over F_p of least degree vanishing at beta.
+def minimal_poly(field: Field, beta: int) -> tuple[int, ...]:
+    """Monic polynomial over F_p of least degree vanishing at beta, as its
+    coefficients in F_p, lowest degree first (the last one is 1).
 
     Found as the first linear dependency among the powers 1, beta,
     beta^2, ... viewed as F_p-coordinate vectors, so the result is
     independent of any conjugacy-orbit bookkeeping.
     """
     field.check(beta)
-    if subfield_char != field.p:
-        raise FieldMismatch(
-            f"subfield characteristic {subfield_char} does not match field characteristic {field.p}"
-        )
     p, m = field.p, field.m
-    prime = field.prime_subfield()
     # Row-reduced basis of the span of lower powers, with the combination
     # of original powers that produced each reduced row.
     basis: list[tuple[list[int], list[int], int]] = []  # (vector, combo, pivot)
@@ -553,7 +389,7 @@ def minimal_poly(field: Field, beta: int, subfield_char: int) -> Polynomial:
                     combo[i] = (combo[i] - c * row_combo[i]) % p
         pivot = next((i for i, c in enumerate(vec) if c), None)
         if pivot is None:
-            return Polynomial(prime, combo[: j + 1])
+            return tuple(combo[: j + 1])
         inv = pow(vec[pivot], p - 2, p)
         vec = [(c * inv) % p for c in vec]
         combo = [(c * inv) % p for c in combo]

@@ -23,29 +23,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import defaults
-from .errors import BudgetExceeded, DimensionError
+from .errors import BudgetExceeded
 from .fcc import FccScheme, FunctionTable
 from .vectors import (
     check_radius,
-    hamming_distance,
     message_rank,
     messages_by_weight,
     unrank_message,
 )
-
-
-def pair_requirement(
-    u: Sequence[int], v: Sequence[int], f: FunctionTable, t: int
-) -> int:
-    """Parity distance the pair (u, v) needs: max(0, 2t+1 - d_H(u, v)),
-    or 0 when the function values agree."""
-    u = tuple(u)
-    v = tuple(v)
-    if u == v:
-        raise DimensionError("pair requirement needs two distinct messages")
-    if f.label(u) == f.label(v):
-        return 0
-    return max(0, 2 * t + 1 - hamming_distance(u, v))
 
 
 @dataclass(frozen=True)

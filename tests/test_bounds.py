@@ -1,4 +1,4 @@
-"""Closed-form bounds: lower 2t, binary upper, BCH floor, sphere packing."""
+"""Closed-form bounds: lower 2t, binary upper, BCH redundancy, sphere packing."""
 
 import math
 
@@ -8,7 +8,6 @@ from fcckit.bounds import (
     LOG2_E,
     bch_extension_degree,
     bch_redundancy,
-    bch_redundancy_bound,
     hamming_ball_volume,
     lower_bound,
     mds_equality,
@@ -65,29 +64,6 @@ class TestUpperBoundBinary:
                     continue
                 mid = t * math.log2(2 * k)
                 assert 2 * t <= mid < bound
-
-
-class TestBchRedundancyBound:
-    def test_15_2(self):
-        assert bch_redundancy_bound(15, 2) == 8
-
-    def test_7_1(self):
-        assert bch_redundancy_bound(7, 1) == 3
-
-    def test_13_2(self):
-        assert bch_redundancy_bound(13, 2) == 7
-
-    def test_exact_at_power_boundaries(self):
-        # floor(t*log2(n+1)) must not wobble on exact powers of two
-        for m in range(1, 20):
-            assert bch_redundancy_bound(2**m - 1, 1) == m
-            assert bch_redundancy_bound(2**m - 1, 3) == 3 * m
-
-    def test_definition(self):
-        for n in range(1, 40):
-            for t in range(1, 4):
-                s = bch_redundancy_bound(n, t)
-                assert 2**s <= (n + 1) ** t < 2 ** (s + 1)
 
 
 class TestSpherePacking:

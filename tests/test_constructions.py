@@ -6,8 +6,14 @@ from fcckit.codes import min_distance, summarize
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, FieldTooSmall, InvalidOrder
 from fcckit.fcc import builtin_function, fcc_decode, fcc_encode, verify_fcc
-from fcckit.gf import Field, Polynomial, minimal_poly
+from fcckit.gf import Field, minimal_poly, prime_power_split
 from fcckit.vectors import hamming_distance, iter_messages
+
+
+# Every prime power q <= 27 (prime, 2^m, and odd p^m up to 3^3), with
+# every k, t >= 1 such that q >= k + 2t: 740 cells in about 1 s.
+RS_ORACLE_MAX_Q = 27
+RS_ORACLE_CELLS = 740
 
 
 def bch_extension_degree(k: int, t: int) -> int:
@@ -22,14 +28,19 @@ def division_bch_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Oracle: the rows [e_i | x^(r+i) mod g] of bch_systematic, each
     remainder by its own long division over F_2 (polynomials as bit masks,
     bit j for x^j), with g the product of the distinct minimal polynomials
-    of alpha^1..alpha^2t."""
+    of alpha^1..alpha^2t, multiplied as coefficient tuples by the
+    schoolbook product over F_2."""
     ext = Field(2 ** bch_extension_degree(k, t))
     alpha = ext.primitive_element()
-    g = Polynomial(Field(2), (1,))
-    for mp in {minimal_poly(ext, ext.pow(alpha, i), 2) for i in range(1, 2 * t + 1)}:
-        g = g * mp
-    r = g.degree
-    g_mask = sum(c << j for j, c in enumerate(g.coeffs))
+    g = (1,)
+    for mp in {minimal_poly(ext, ext.pow(alpha, i)) for i in range(1, 2 * t + 1)}:
+        prod = [0] * (len(g) + len(mp) - 1)
+        for a, x in enumerate(g):
+            for b, y in enumerate(mp):
+                prod[a + b] ^= x & y
+        g = tuple(prod)
+    r = len(g) - 1
+    g_mask = sum(c << j for j, c in enumerate(g))
     rows = []
     for i in range(k):
         rem = 1 << (r + i)
@@ -38,6 +49,52 @@ def division_bch_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
         unit = tuple(1 if j == i else 0 for j in range(k))
         rows.append(unit + tuple((rem >> j) & 1 for j in range(r)))
     return tuple(rows)
+
+
+def lagrange_rs_rows(q: int, k: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the rows [e_i | P_i] of rs_systematic, with P_i the values at
+    the points k..k+2t-1 of the polynomial through (l, e_i[l]) for l < k,
+    interpolated as a plain coefficient list (lowest degree first) and
+    evaluated by Horner."""
+    f = Field(q)
+    rows = []
+    for i in range(k):
+        unit = tuple(1 if j == i else 0 for j in range(k))
+        poly = [0] * k
+        for j, y in enumerate(unit):
+            if y == 0:
+                continue
+            # basis = y * prod over l != j of (x - l) / (j - l)
+            basis = [y]
+            for l in range(k):
+                if l != j:
+                    inv = f.inv(f.sub(j, l))
+                    low, high = f.mul(f.neg(l), inv), inv
+                    nxt = [0] * (len(basis) + 1)
+                    for d, c in enumerate(basis):
+                        nxt[d] = f.add(nxt[d], f.mul(c, low))
+                        nxt[d + 1] = f.add(nxt[d + 1], f.mul(c, high))
+                    basis = nxt
+            poly = [f.add(a, b) for a, b in zip(poly, basis)]
+        parity = []
+        for x in range(k, k + 2 * t):
+            acc = 0
+            for c in reversed(poly):
+                acc = f.add(f.mul(acc, x), c)
+            parity.append(acc)
+        rows.append(unit + tuple(parity))
+    return tuple(rows)
+
+
+def prime_powers(limit: int) -> list[int]:
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            prime_power_split(q)
+        except InvalidOrder:
+            continue
+        out.append(q)
+    return out
 
 
 class TestRsSystematic:
@@ -64,6 +121,16 @@ class TestRsSystematic:
             rs_systematic(7, 0, 2)
         with pytest.raises(DimensionError):
             rs_systematic(7, 3, 0)
+
+    def test_generators_match_lagrange_oracle(self):
+        cells = 0
+        for q in prime_powers(RS_ORACLE_MAX_Q):
+            for t in range(1, q // 2 + 1):
+                for k in range(1, q - 2 * t + 1):
+                    rep = rs_systematic(q, k, t)
+                    assert rep.generator.rows == lagrange_rs_rows(q, k, t), (q, k, t)
+                    cells += 1
+        assert cells == RS_ORACLE_CELLS
 
     @pytest.mark.parametrize("q,k,t", [(5, 2, 1), (7, 3, 2), (8, 3, 2), (9, 5, 2), (11, 5, 3)])
     def test_always_systematic_mds_with_exact_distance(self, q, k, t):

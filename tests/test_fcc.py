@@ -30,7 +30,6 @@ from fcckit.fcc import (
     fcc_decode,
     fcc_encode,
     find_critical_pair,
-    identity_scheme,
     verify_fcc,
 )
 from fcckit.gf import Field
@@ -324,7 +323,7 @@ class TestVerify:
         assert result.distance == 1
 
     def test_r0_identity_scheme_with_constant(self):
-        s = identity_scheme(2, 3)
+        s = FccScheme.tabular(2, 3, [()] * 2**3)
         f = builtin_function("constant", 2, 3)
         assert verify_fcc(s, f, 5).ok
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fcckit.codes import GeneratorMatrix
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import FormatError, InvalidOrder, NotSystematic, RankDeficient
-from fcckit.fcc import FccScheme, FunctionTable, builtin_function, fcc_encode, identity_scheme
+from fcckit.fcc import FccScheme, FunctionTable, builtin_function, fcc_encode
 from fcckit.gf import Field
 from fcckit.formats import (
     parse_function_file,
@@ -100,7 +100,7 @@ class TestSchemeFile:
             assert serialize_scheme_file(back) == text
 
     def test_zero_redundancy_roundtrip(self):
-        scheme = identity_scheme(2, 2)
+        scheme = FccScheme.tabular(2, 2, [()] * 2**2)
         text = serialize_scheme_file(scheme)
         back = parse_scheme_file(text)
         assert back.r == 0

@@ -1,9 +1,12 @@
 """Static checks on the package source, by the standard library's ast.
 
 Every name a module of ``src/fcckit`` imports is used in that module
-(``__init__.py`` re-exports and is exempt), and every module-level
-``_private`` function or class is referenced somewhere in the package, so
-a deletion cannot leave an unused import or an orphaned helper behind.
+(``__init__.py`` re-exports and is exempt), every module-level
+``_private`` function or class is referenced somewhere in the package,
+and every exception class but ``FccError`` is referenced outside
+``errors.py``, so a deletion cannot leave an unused import, an orphaned
+helper or a dead error class behind.  ``__init__.py`` imports exactly the
+names its ``__all__`` lists.
 """
 
 import ast
@@ -71,3 +74,29 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"module-level private helpers nobody references: {orphans}"
+
+
+def test_every_error_class_is_referenced_elsewhere():
+    trees = {path.name: parse(path) for path in MODULES}
+    elsewhere = set()
+    for module, tree in trees.items():
+        if module != "errors.py":
+            elsewhere |= used_names(tree, attributes=True)
+    classes = [node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)]
+    dead = [name for name in classes if name != "FccError" and name not in elsewhere]
+    assert not dead, f"error classes no other module references: {dead}"
+
+
+def test_init_imports_exactly_all():
+    tree = parse(PACKAGE / "__init__.py")
+    listed = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+    )
+    imported = sorted(name for name, _ in imported_names(tree))
+    assert imported == sorted(listed), (
+        f"imported but not in __all__: {sorted(set(imported) - set(listed))}; "
+        f"in __all__ but not imported: {sorted(set(listed) - set(imported))}"
+    )

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcckit.errors import BudgetExceeded, DimensionError
 from fcckit.fcc import FccScheme, FunctionTable, builtin_function, verify_fcc
-from fcckit.search import RequirementSet, exact_redundancy, pair_requirement
+from fcckit.search import RequirementSet, exact_redundancy
 from fcckit.vectors import (
     hamming_distance,
     iter_messages,
@@ -125,23 +125,6 @@ def search_cells(draw):
 
 
 class TestPairRequirement:
-    def test_adjacent_pair_needs_2t(self):
-        f = builtin_function("or", 2, 3)
-        assert pair_requirement((0, 0, 0), (1, 0, 0), f, 1) == 2
-
-    def test_equal_labels_need_nothing(self):
-        f = builtin_function("or", 2, 3)
-        assert pair_requirement((1, 0, 0), (1, 1, 1), f, 1) == 0
-
-    def test_far_pair_needs_nothing(self):
-        f = builtin_function("or", 2, 3)
-        assert pair_requirement((0, 0, 0), (1, 1, 1), f, 1) == 0
-
-    def test_identical_messages_rejected(self):
-        f = builtin_function("or", 2, 3)
-        with pytest.raises(DimensionError):
-            pair_requirement((1, 0, 0), (1, 0, 0), f, 1)
-
     def test_requirement_set_shape(self):
         f = builtin_function("or", 2, 2)
         reqs = RequirementSet.build(f, 1)
