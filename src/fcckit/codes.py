@@ -39,7 +39,7 @@ class GeneratorMatrix:
     """k x n generator over a Field; rows checked for full rank (by
     elimination, unless the leading k x k block is the identity)."""
 
-    __slots__ = ("field", "rows", "k", "n")
+    __slots__ = ("field", "rows", "k", "n", "_systematic")
 
     def __init__(self, field: Field, rows: Sequence[Sequence[int]]):
         if not rows:
@@ -52,8 +52,11 @@ class GeneratorMatrix:
         self.rows = check_rows(rows, field.q, n, "generator row")
         self.k = k
         self.n = n
+        self._systematic = all(
+            row[i] == 1 and row[:k].count(0) == k - 1 for i, row in enumerate(self.rows)
+        )
         # an identity block already proves rank k
-        if not self.is_systematic() and _rank(field, [list(r) for r in self.rows]) < k:
+        if not self._systematic and _rank(field, [list(r) for r in self.rows]) < k:
             raise RankDeficient(f"generator rows are dependent (k={k}, n={n})")
 
     @property
@@ -61,9 +64,9 @@ class GeneratorMatrix:
         return self.field.q
 
     def is_systematic(self) -> bool:
-        """True iff the leading k x k block is the identity."""
-        k = self.k
-        return all(row[i] == 1 and row[:k].count(0) == k - 1 for i, row in enumerate(self.rows))
+        """True iff the leading k x k block is the identity (found once, by
+        the constructor; the rows are immutable tuples)."""
+        return self._systematic
 
     def __repr__(self) -> str:
         return f"GeneratorMatrix([{self.n},{self.k}]_{self.q})"

@@ -11,18 +11,23 @@ at the first ring whose radius reaches the nearest distance found; it
 never enumerates the codewords.  Since d(c(u), c(v)) = wt(c(v - u)) for a
 linear scheme, one passes for every f when ``codes.min_distance`` of its
 generator is at least 2t+1, without comparing pairs.  A linear scheme
-below that, and every table scheme, is verified pair by pair over a list
-of its q^k codewords in message-rank order, built for that scan alone
-from one parity table: the scheme's own, or u.P built one message digit
-at a time for a linear scheme.
+below that, and every table scheme, is verified one message at a time
+by bitset rows over one parity table (the scheme's own, or u.P built one
+message digit at a time for a linear scheme): an N-bit int (N = q^k)
+holds the later messages with a different label, and the distance-layer
+step of ``vectors.far_sets`` keeps those at distance >= 2t+1, symbol by
+symbol, a whole row of pairs per int operation.  That is O(N n (2t+1))
+operations on N-bit ints for n = k + r, and its masks take one N-bit int
+per (column, symbol) and one per repeated label.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import ne, xor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import defaults
 from .codes import GeneratorMatrix, linear_encode, min_distance
@@ -38,6 +43,9 @@ from .vectors import (
     check_radius,
     check_rows,
     check_vector,
+    digit_masks,
+    far_sets,
+    hamming_distance,
     iter_messages,
     message_rank,
     messages_at_distance,
@@ -247,8 +255,10 @@ def verify_fcc(
     including it, or all of them when the scheme passes.  A linear scheme
     passes when ``min_distance`` of its generator is at least 2t+1, and
     ``pairs_checked`` is then counted from the label counts; any other
-    scheme compares every such pair over one parity table.  Either way the
-    budget bounds the q^k (q^k - 1) / 2 message pairs.
+    scheme checks every such pair over one parity table, a bitset row per
+    message (``_verify_pairs``: O(q^k n (2t+1)) operations on q^k-bit
+    ints).  Either way the budget bounds the q^k (q^k - 1) / 2 message
+    pairs, the unit of the work a pair-by-pair check would do.
     """
     _check_compatible(scheme, f)
     check_radius(t)
@@ -276,27 +286,82 @@ def verify_fcc(
 def _verify_pairs(
     scheme: FccScheme, labels: Sequence[int], need: int
 ) -> VerificationResult:
-    """Compare the codewords of every pair with different labels."""
-    q, k = scheme.q, scheme.k
-    total = q**k
-    words = [u + p for u, p in zip(iter_messages(q, k), _parity_rows(scheme))]
+    """Check every pair with different labels, one bitset row per message.
+
+    Bit j of an N-bit int (N = q^k) stands for rank j.  Row i starts from
+    ``cand``, the later ranks whose label differs from i's (a row without
+    any is skipped), and runs ``far_sets`` over the n = k + r symbols of
+    c_i; ``cand`` less the ranks it leaves at distance >= need are the
+    row's violations, and the lowest is the first in (rank, rank) order.
+    Only that pair's distance is computed, and ``pairs_checked`` is the
+    popcount of every row before it and of its row up to it.
+
+    A message symbol's masks are the closed-form ``digit_masks``.  A
+    parity symbol's are read off the parity table written as one string,
+    and a repeated label's off the labels written the same way, each mask
+    on first use, so a verify that fails in its first rows builds few.
+    Cost: O(N n need) operations on N-bit ints; memory: one mask per
+    (column, symbol) and one per repeated label.
+    """
+    q, k, r = scheme.q, scheme.k, scheme.r
+    ones = (1 << q**k) - 1
+    rows = _parity_rows(scheme)
+    # every parity symbol as one character, highest rank first: column c
+    # is every r-th character
+    parity = _text(chain.from_iterable(reversed(rows)))
+    same = digit_masks(q, k) + [_SymbolMasks(parity[c::r], q) for c in range(r)]
+    counts = Counter(labels)
+    # only a label met more than once needs a mask; the labels are written
+    # as their indices in order of first appearance
+    if len(counts) < len(labels):
+        code = dict(zip(counts, range(len(counts))))
+        by_label = _SymbolMasks(_text(map(code.__getitem__, reversed(labels))), len(code))
     checked = 0
-    for i in range(total):
-        li = labels[i]
-        ci = words[i]
-        for j in range(i + 1, total):
-            if labels[j] == li:
-                continue
-            checked += 1
-            d = sum(map(ne, ci, words[j]))
-            if d < need:
-                return VerificationResult(
-                    ok=False,
-                    violating_pair=(ci[:k], words[j][:k]),
-                    distance=d,
-                    pairs_checked=checked,
-                )
+    later = ones
+    for i, (u, p) in enumerate(zip(iter_messages(q, k), rows)):
+        later ^= 1 << i
+        label = labels[i]
+        cand = later & ~by_label[code[label]] if counts[label] > 1 else later
+        if not cand:
+            continue
+        close = cand ^ far_sets(same, u + p, need, ones, cand)[need]
+        if close:
+            j = (close & -close).bit_length() - 1
+            v = unrank_message(j, q, k)
+            return VerificationResult(
+                ok=False,
+                violating_pair=(u, v),
+                distance=hamming_distance(u + p, v + rows[j]),
+                pairs_checked=checked + (cand & ((2 << j) - 1)).bit_count(),
+            )
+        checked += cand.bit_count()
     return VerificationResult(ok=True, violating_pair=None, distance=None, pairs_checked=checked)
+
+
+def _text(symbols: Iterable[int]) -> str:
+    """The symbols as one string, symbol x as the character chr(x).  A
+    symbol is a field element or a label's index among the labels, so it
+    is below q^k, far below the 0x110000 code points for any verify within
+    10^11 message pairs."""
+    symbols = tuple(symbols)
+    return "%c" * len(symbols) % symbols
+
+
+class _SymbolMasks(dict):
+    """``masks[v]``: the ranks whose character in ``text`` (one per rank,
+    the highest rank first) is chr(v), for v below ``size``, as an int with
+    bit j set for rank j.  Each mask is one ``str.translate``, on first use."""
+
+    def __init__(self, text: str, size: int):
+        super().__init__()
+        self.text = text
+        self.size = size
+
+    def __missing__(self, v: int) -> int:
+        table = ["0"] * self.size
+        table[v] = "1"
+        mask = self[v] = int(self.text.translate(table), 2)
+        return mask
 
 
 def _parity_rows(scheme: FccScheme) -> Sequence[tuple[int, ...]]:

@@ -18,10 +18,11 @@ file lines; a truncated file reports the first missing line.
 Both directions handle a whole body at once with builtins rather than
 one line at a time: a function file is written by one ``%`` format and
 read by one ``isdecimal`` pass and ``map(int, ...)``; a scheme body's
-row widths are checked as one set and its element indices by one
-``max``.  The formats are unchanged, and so is every error: only when
-the bulk check fails is the body walked line by line, up to its first
-bad or missing line, whose message and line number it raises.
+row widths are checked as one set, and its element indices once, by the
+bulk ``check_rows`` of the scheme's own constructor.  The formats are
+unchanged, and so is every error: only when a bulk check fails is the
+body walked line by line, up to its first bad or missing line, whose
+message and line number it raises.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import NoReturn
 
 from .codes import GeneratorMatrix
-from .errors import FormatError, NotSystematic, RankDeficient
+from .errors import DimensionError, FormatError, NotSystematic, RankDeficient
 from .fcc import FccScheme, FunctionTable
 from .gf import Field, prime_power_split
 
@@ -128,7 +129,7 @@ def parse_scheme_file(text: str) -> FccScheme:
     if kind not in ("linear", "table"):
         raise FormatError(f"unknown scheme kind {kind!r}", 1)
     q, k, r = _int_tokens(" ".join(head[1:]), 1, 3, "header")
-    field = Field(q)
+    prime_power_split(q)  # InvalidOrder for non-prime-power q
     body_rows = k if kind == "linear" else q**k
     width = k + r if kind == "linear" else r
     body = lines[1 : body_rows + 1]
@@ -136,20 +137,29 @@ def parse_scheme_file(text: str) -> FccScheme:
     # from one joined string: a list kept per row would make the cyclic
     # garbage collector walk every row while the rows are built
     symbols = " ".join(body).split()
-    valid = (
+    if not (
         len(body) == body_rows
         and set(map(len, map(str.split, body))) <= {width}
         and all(map(str.isdecimal, symbols))
-    )
-    values = list(map(int, symbols)) if valid else []
-    if not valid or max(values, default=0) >= q:
+    ):
         _raise_first_bad(lines, body_rows, width, "row", q)
-    _reject_extra(lines, body_rows + 1)
     # cut the flat values into rows of width symbols
-    rows = list(zip(*[iter(values)] * width)) if width else [()] * body_rows
-    if kind == "linear":
-        try:
-            return FccScheme.linear(GeneratorMatrix(field, rows))
-        except (NotSystematic, RankDeficient) as exc:
-            raise FormatError(str(exc), 2) from exc
-    return FccScheme.tabular(q, k, rows)
+    rows = list(zip(*[iter(map(int, symbols))] * width)) if width else [()] * body_rows
+    # the scheme's own constructor checks the element indices, once; its
+    # errors keep the per-line order: a bad index, an extra line, then a
+    # bad generator
+    try:
+        if kind == "linear":
+            scheme = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+        else:
+            scheme = FccScheme.tabular(q, k, rows)
+    except DimensionError:
+        if not rows:  # a linear header with k = 0 has no generator rows
+            _reject_extra(lines, body_rows + 1)
+            raise
+        _raise_first_bad(lines, body_rows, width, "row", q)
+    except (NotSystematic, RankDeficient) as exc:
+        _reject_extra(lines, body_rows + 1)
+        raise FormatError(str(exc), 2) from exc
+    _reject_extra(lines, body_rows + 1)
+    return scheme

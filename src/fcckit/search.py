@@ -20,13 +20,14 @@ message, so the candidates that bit scan skips count as nodes too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import defaults
 from .errors import BudgetExceeded
 from .fcc import FccScheme, FunctionTable
 from .vectors import (
     check_radius,
+    digit_masks,
+    far_sets,
     message_rank,
     messages_by_weight,
     unrank_message,
@@ -103,31 +104,6 @@ class RedundancySearchResult:
         return FccScheme.tabular(self.q, self.k, self.witness)
 
 
-def _digit_masks(q: int, r: int) -> list[list[int]]:
-    """``same[i][v]``: the bitmask over the q^r parity ranks whose digit i
-    (leftmost most significant) equals v.  Digit i is constant on runs of
-    q^(r-1-i) ranks that repeat with period q^(r-i)."""
-    ones = (1 << q**r) - 1
-    same = []
-    for i in range(r):
-        block = q ** (r - 1 - i)
-        tile = ones // ((1 << (q * block)) - 1)
-        run = (1 << block) - 1
-        same.append([(run << (v * block)) * tile for v in range(q)])
-    return same
-
-
-def _far_sets(same: list[list[int]], a: Sequence[int], top: int, ones: int) -> list[int]:
-    """``far[need]`` for need in 0..top: the parities at Hamming distance
-    >= need from the parity with digits ``a``, counted digit by digit."""
-    far = [ones] + [0] * top
-    for i, v in enumerate(a):
-        differ = ones ^ same[i][v]
-        for need in range(min(i + 1, top), 0, -1):
-            far[need] |= far[need - 1] & differ
-    return far
-
-
 def exact_redundancy(
     f: FunctionTable, t: int, budget: int = defaults.SEARCH_NODE_BUDGET
 ) -> RedundancySearchResult:
@@ -153,7 +129,7 @@ def exact_redundancy(
     while True:
         size = q**r
         ones = (1 << size) - 1
-        same = _digit_masks(q, r)
+        same = digit_masks(q, r)
         far_of: dict[int, list[int]] = {}
         assigned = [0] * total
         allowed = [0] * total
@@ -167,7 +143,8 @@ def exact_redundancy(
                     a = assigned[j]
                     far = far_of.get(a)
                     if far is None:
-                        far = far_of[a] = _far_sets(same, unrank_message(a, q, r), reqs.d_max, ones)
+                        digits = unrank_message(a, q, r)
+                        far = far_of[a] = far_sets(same, digits, reqs.d_max, ones, ones)
                     mask &= far[need]
                     if not mask:
                         break

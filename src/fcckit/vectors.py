@@ -83,6 +83,36 @@ def messages_by_weight(q: int, k: int) -> list[tuple[int, ...]]:
     return sorted(iter_messages(q, k), key=lambda u: (hamming_weight(u), u))
 
 
+def digit_masks(q: int, length: int) -> list[list[int]]:
+    """``same[i][v]``: the bitmask over the q^length ranks (bit j for rank
+    j) whose digit i, leftmost most significant, equals v.  Digit i is
+    constant on runs of q^(length-1-i) ranks that repeat with period
+    q^(length-i), so each mask is the digit-0 mask shifted by v runs."""
+    ones = (1 << q**length) - 1
+    same = []
+    for i in range(length):
+        block = q ** (length - 1 - i)
+        zeros = ones // ((1 << (q * block)) - 1) * ((1 << block) - 1)
+        same.append([zeros << (v * block) for v in range(q)])
+    return same
+
+
+def far_sets(
+    same: Sequence[Sequence[int]], a: Sequence[int], top: int, ones: int, start: int
+) -> list[int]:
+    """``far[need]`` for need in 0..top: the ranks in ``start`` at Hamming
+    distance >= need from the word with digits ``a``, counted digit by
+    digit over the masks ``same[i][v]`` of the ranks whose digit i is v
+    (``ones`` is every rank).  Each digit costs one int operation per
+    layer, on ints as wide as the rank range."""
+    far = [start] + [0] * top
+    for i, v in enumerate(a):
+        differ = ones ^ same[i][v]
+        for need in range(min(i + 1, top), 0, -1):
+            far[need] |= far[need - 1] & differ
+    return far
+
+
 def check_radius(t: int) -> None:
     """Reject a negative correction radius t."""
     if t < 0:

@@ -4,6 +4,7 @@ critical-pair scan."""
 import itertools
 import math
 import random
+from operator import ne
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,20 +261,22 @@ class TestEncode:
             fcc_encode(s, (1, 0, 2))
 
 
-def naive_verify(scheme, f, t):
+def pair_scan_verify(scheme, f, t):
     """Oracle: compare every unordered pair with different labels on full
-    codewords, in (rank, rank) order.  Returns (ok, violating pair,
-    distance, pairs checked) as ``verify_fcc`` reports them."""
-    messages = list(iter_messages(scheme.q, scheme.k))
-    words = [fcc_encode(scheme, u) for u in messages]
+    codewords, one pair at a time in (rank, rank) order.  Returns (ok,
+    violating pair, distance, pairs checked) as ``verify_fcc`` reports
+    them."""
+    k, labels, need = scheme.k, f.values, 2 * t + 1
+    words = [fcc_encode(scheme, u) for u in iter_messages(scheme.q, k)]
     checked = 0
-    for i, j in itertools.combinations(range(len(words)), 2):
-        if f.values[i] == f.values[j]:
-            continue
-        checked += 1
-        d = hamming_distance(words[i], words[j])
-        if d < 2 * t + 1:
-            return False, (messages[i], messages[j]), d, checked
+    for i, ci in enumerate(words):
+        for j in range(i + 1, len(words)):
+            if labels[j] == labels[i]:
+                continue
+            checked += 1
+            d = sum(map(ne, ci, words[j]))
+            if d < need:
+                return False, (ci[:k], words[j][:k]), d, checked
     return True, None, None, checked
 
 
@@ -374,7 +377,7 @@ class TestVerify:
             values = tuple(rng.randrange(3) for _ in range(q**k))
             s = FccScheme.tabular(q, k, table)
             f = FunctionTable(q, k, values)
-            assert verdict(verify_fcc(s, f, t)) == naive_verify(s, f, t)
+            assert verdict(verify_fcc(s, f, t)) == pair_scan_verify(s, f, t)
 
     def test_negative_t_rejected(self):
         with pytest.raises(DimensionError):
@@ -409,7 +412,7 @@ class TestVerify:
         want_d = sum(1 for x in fcc_encode(s, v) if x)
         assert verdict(result) == (False, ((0, 0, 0, 0), v), want_d, rank)
 
-    def test_linear_pass_and_decode_build_no_codebook(self, monkeypatch):
+    def test_linear_pass_and_decode_build_no_parity_table(self, monkeypatch):
         # the weight check reads min_distance and a decode within the
         # radius encodes the message ball: neither lists the codewords
         s = rs_systematic(9, 3, 2).scheme
@@ -531,7 +534,7 @@ class TestDecode:
                 out = fcc_decode(scheme, f, 1, y)
                 assert out.label == f.label(u)
 
-    def test_exact_match_builds_no_codebook(self):
+    def test_exact_match_encodes_one_message(self):
         # the received word's own message is the whole radius-0 ring
         s = CountingScheme.linear(rs_systematic(13, 4, 3).generator)
         f = builtin_function("identity", 13, 4)
@@ -547,7 +550,7 @@ class TestDecode:
         with pytest.raises(DimensionError):
             fcc_decode(s, builtin_function("or", 2, 3), -1, (0, 0, 0, 0, 0))
 
-    def test_scheme_over_codebook_cap(self):
+    def test_decode_encodes_the_message_ball_on_83521_messages(self):
         # 17^4 messages, more than the 65536 that a codebook was once
         # capped at; a decode at distance w <= t encodes the V(4, w, 17) messages
         # within w of the received word's message part, 1601 at w = 2
@@ -666,7 +669,7 @@ def test_linear_verify_matches_pair_oracle(data):
         data.draw(st.lists(st.integers(0, n_labels - 1), min_size=q**k, max_size=q**k))
     )
     f = FunctionTable(q, k, values)
-    assert verdict(verify_fcc(s, f, t)) == naive_verify(s, f, t)
+    assert verdict(verify_fcc(s, f, t)) == pair_scan_verify(s, f, t)
 
 
 @settings(max_examples=120, deadline=None)
@@ -692,6 +695,73 @@ def test_linear_verify_matches_min_weight(data):
     f = builtin_function("identity", q, k)
     for t in range(s.n // 2 + 2):
         assert verify_fcc(s, f, t).ok == (d >= 2 * t + 1), t
+
+
+def _pool_table_scheme(data, q, k, r):
+    """A table scheme whose rows repeat a drawn pool of 1-3 parities, so
+    equal rows and violations both occur."""
+    symbol = st.integers(0, q - 1)
+    pool = data.draw(st.lists(st.tuples(*[symbol] * r), min_size=1, max_size=3), label="pool")
+    picks = st.integers(0, len(pool) - 1)
+    rows = [pool[i] for i in data.draw(st.lists(picks, min_size=q**k, max_size=q**k))]
+    return FccScheme.tabular(q, k, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_matches_pair_scan_oracle(data):
+    # table schemes from a parity pool and linear schemes, passing and
+    # failing, over prime, 2^m and odd p^m fields; labels from 1-3
+    # classes or identity; t = 0..3
+    q = data.draw(st.sampled_from(sorted(_MAX_K)), label="q")
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]), label="k")
+    r = data.draw(st.integers(min_value=0, max_value=4), label="r")
+    if data.draw(st.booleans(), label="table"):
+        s = _pool_table_scheme(data, q, k, r)
+    else:
+        symbol = st.integers(0, q - 1)
+        rows = [
+            tuple(1 if j == i else 0 for j in range(k)) + data.draw(st.tuples(*[symbol] * r))
+            for i in range(k)
+        ]
+        s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+    classes = data.draw(st.sampled_from([1, 2, 3, None]), label="classes")
+    if classes is None:
+        f = builtin_function("identity", q, k)
+    else:
+        label = st.integers(0, classes - 1)
+        f = FunctionTable(q, k, tuple(data.draw(st.lists(label, min_size=q**k, max_size=q**k))))
+    t = data.draw(st.integers(min_value=0, max_value=3), label="t")
+    assert verdict(verify_fcc(s, f, t)) == pair_scan_verify(s, f, t)
+
+
+_POOL_257 = [(0, 0), (1, 200), (256, 7)]
+
+
+@pytest.mark.parametrize(
+    "scheme, f, t, ok",
+    [
+        # r = 0: the codewords are the messages, at distance >= 1
+        (FccScheme.tabular(2, 3, [()] * 8), builtin_function("identity", 2, 3), 0, True),
+        (FccScheme.tabular(3, 2, [()] * 9), builtin_function("or", 3, 2), 1, False),
+        # a constant f gives no row a candidate, on a linear scheme that
+        # fails min_distance >= 2t+1 (d = 3) and so takes the pair scan
+        (rs_systematic(5, 2, 1).scheme, builtin_function("constant", 5, 2), 2, True),
+        # q > 256: the parity (x, x) keeps every pair at distance 3
+        (FccScheme.tabular(257, 1, [(x, x) for x in range(257)]),
+         builtin_function("identity", 257, 1), 1, True),
+        (FccScheme.tabular(257, 1, [_POOL_257[x % 3] for x in range(257)]),
+         FunctionTable(257, 1, tuple(x % 3 for x in range(257))), 1, True),
+        (FccScheme.tabular(257, 1, [_POOL_257[x % 3] for x in range(257)]),
+         builtin_function("identity", 257, 1), 1, False),
+    ],
+    ids=["r0-identity", "r0-or", "constant-on-failing-linear", "q257-identity",
+         "q257-three-classes", "q257-pool-identity"],
+)
+def test_verify_fixed_cases_match_pair_scan_oracle(scheme, f, t, ok):
+    result = verify_fcc(scheme, f, t)
+    assert result.ok == ok
+    assert verdict(result) == pair_scan_verify(scheme, f, t)
 
 
 def full_scan_decode(scheme, f, y):

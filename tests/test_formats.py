@@ -4,6 +4,11 @@ the bulk parsers against per-line reference parsers."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fcckit.codes
+import fcckit.fcc
+import fcckit.formats
+from fcckit import vectors
+
 from fcckit.codes import GeneratorMatrix
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import FormatError, InvalidOrder, NotSystematic, RankDeficient
@@ -145,6 +150,32 @@ def test_search_witness_roundtrips():
     back = parse_scheme_file(text)
     assert isinstance(back, FccScheme)
     assert back.parity_table == res.witness
+
+
+@pytest.mark.parametrize(
+    "scheme, rows",
+    [(or_scheme(3, 4, 1), 3**4), (rs_systematic(7, 3, 2).scheme, 3)],
+    ids=["table", "linear"],
+)
+def test_each_parsed_scheme_is_checked_once(monkeypatch, scheme, rows):
+    # the parse leaves the element-index check to the scheme's own
+    # constructor: one bulk check_rows over the parity table or the
+    # generator, and no second Field
+    checked = []
+
+    def counting(body, *args, **kwargs):
+        checked.append(len(body))
+        return vectors.check_rows(body, *args, **kwargs)
+
+    for module in (fcckit.fcc, fcckit.codes):
+        monkeypatch.setattr(module, "check_rows", counting)
+    fields = []
+    monkeypatch.setattr(fcckit.fcc, "Field", lambda q: fields.append(q) or Field(q))
+    monkeypatch.setattr(fcckit.formats, "Field", lambda q: fields.append(q) or Field(q))
+    text = serialize_scheme_file(scheme)
+    assert serialize_scheme_file(parse_scheme_file(text)) == text
+    assert checked == [rows]
+    assert fields == [scheme.q]
 
 
 # -- per-line reference parsers ---------------------------------------------
@@ -342,3 +373,10 @@ def test_each_fault_gives_the_reference_error(fault):
         got = outcome(parse_scheme_file, schemes[fault])
         assert got == outcome(ref_parse_scheme_file, schemes[fault])
     assert got[0] == "error" and got[1] is FormatError and got[3] > 0
+
+
+@pytest.mark.parametrize("text", ["linear 2 0 1\n", "linear 2 0 1\n7\n"], ids=["bare", "extra line"])
+def test_linear_header_with_no_rows_gives_the_reference_error(text):
+    # k = 0 leaves the generator without rows: its DimensionError, after
+    # any extra line's FormatError, as the per-line reference raises them
+    assert outcome(parse_scheme_file, text) == outcome(ref_parse_scheme_file, text)

@@ -3,10 +3,12 @@
 Every name a module of ``src/fcckit`` imports is used in that module
 (``__init__.py`` re-exports and is exempt), every module-level
 ``_private`` function or class is referenced somewhere in the package,
-and every exception class but ``FccError`` is referenced outside
-``errors.py``, so a deletion cannot leave an unused import, an orphaned
-helper or a dead error class behind.  ``__init__.py`` imports exactly the
-names its ``__all__`` lists.
+every exception class but ``FccError`` is referenced outside
+``errors.py``, and no module imports a ``_private`` name from another
+fcckit module.  So a deletion cannot leave an unused import, an orphaned
+helper or a dead error class behind, and a helper two modules share is
+public.  ``__init__.py`` imports exactly the names its ``__all__``
+lists.
 """
 
 import ast
@@ -74,6 +76,21 @@ def test_every_private_helper_is_referenced():
         and node.name not in referenced
     ]
     assert not orphans, f"module-level private helpers nobody references: {orphans}"
+
+
+def test_no_private_name_is_imported_from_another_module():
+    # a helper two modules share carries a public name in the module that
+    # owns it
+    crossings = [
+        f"{path.name}:{node.lineno} imports {alias.name} from {node.module or '.'}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fcckit")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not crossings, f"private names imported across modules: {crossings}"
 
 
 def test_every_error_class_is_referenced_elsewhere():
