@@ -51,6 +51,7 @@ from .vectors import (
     messages_at_distance,
     messages_of_weight,
     unrank_message,
+    weight_table,
 )
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
     elif name == "identity":
         values = range(total)
     elif name == "hamming_weight":
-        values = _weight_table(q, k)
+        values = weight_table(q, k)
     elif name == "linear":
         if aux is None or len(tuple(aux)) != k:
             raise DimensionError(f"linear needs a length-{k} coefficient vector as aux")
@@ -130,20 +131,10 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
             raise DimensionError("threshold needs a single integer aux")
         theta = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
         indicator = [1 if w >= theta else 0 for w in range(k + 1)]
-        values = map(indicator.__getitem__, _weight_table(q, k))
+        values = map(indicator.__getitem__, weight_table(q, k))
     else:
         raise UnknownFunction(f"no built-in function named {name!r}")
     return FunctionTable(q=q, k=k, values=tuple(values))
-
-
-def _weight_table(q: int, k: int) -> list[int]:
-    """Hamming weight of every message of F_q^k in rank order, built digit
-    by digit: prepending the digit 0 keeps every weight, and each of the
-    q - 1 nonzero digits adds one."""
-    weights = [0]
-    for _ in range(k):
-        weights += list(map((1).__add__, weights)) * (q - 1)
-    return weights
 
 
 class FccScheme:

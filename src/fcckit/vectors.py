@@ -78,9 +78,23 @@ def messages_at_distance(
             yield tuple(u)
 
 
+def weight_table(q: int, k: int) -> list[int]:
+    """Hamming weight of every message of F_q^k in rank order, built digit
+    by digit: prepending the digit 0 keeps every weight, and each of the
+    q - 1 nonzero digits adds one."""
+    weights = [0]
+    for _ in range(k):
+        weights += list(map((1).__add__, weights)) * (q - 1)
+    return weights
+
+
 def messages_by_weight(q: int, k: int) -> list[tuple[int, ...]]:
-    """All q^k messages sorted by (Hamming weight, lexicographic) order."""
-    return sorted(iter_messages(q, k), key=lambda u: (hamming_weight(u), u))
+    """All q^k messages sorted by (Hamming weight, lexicographic) order:
+    the ranks, stably sorted by weight, stay in rank (lexicographic) order
+    within a weight."""
+    messages = list(iter_messages(q, k))
+    ranks = sorted(range(q**k), key=weight_table(q, k).__getitem__)
+    return list(map(messages.__getitem__, ranks))
 
 
 def digit_masks(q: int, length: int) -> list[list[int]]:

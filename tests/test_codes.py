@@ -1,6 +1,7 @@
 """Generator matrices, brute-force minimum distance, code summaries."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 from fcckit import codes
 from fcckit.codes import (
     GeneratorMatrix,
+    Lanes,
     iter_projective_shells,
     linear_encode,
     min_distance,
     summarize,
 )
-from fcckit.constructions import rs_systematic
-from fcckit.errors import BudgetExceeded, DimensionError, RankDeficient
+from fcckit.constructions import bch_systematic, rs_systematic
+from fcckit.errors import BudgetExceeded, DimensionError, InvalidOrder, RankDeficient
 from fcckit.fcc import FccScheme, _parity_rows
-from fcckit.gf import Field
+from fcckit.gf import Field, prime_power_split
 from fcckit.vectors import hamming_distance, hamming_weight, iter_messages
 
 F2 = Field(2)
@@ -279,9 +281,81 @@ def test_min_distance_matches_full_enumeration(data):
 
     # one codeword per projective class, in shells of nondecreasing weight
     # bounded below by the shell
-    shells = [(w, tuple(cw)) for w, cw in iter_projective_shells(g)]
+    lanes = Lanes(f, k + r)
+    shells = [(w, lanes.unpack(cw)) for w, cw in iter_projective_shells(g)]
     assert len(shells) == (q**k - 1) // (q - 1)
     assert [w for w, _ in shells] == sorted(w for w, _ in shells)
     assert all(hamming_weight(cw) >= w for w, cw in shells)
     multiples = {tuple(f.mul(a, x) for x in cw) for _, cw in shells for a in range(1, q)}
     assert multiples == set(nonzero_codewords(g))
+
+
+
+def _is_field_order(q: int) -> bool:
+    try:
+        prime_power_split(q)
+    except InvalidOrder:
+        return False
+    return True
+
+
+# Every field order up to 32: prime, 2^m and odd p^m.
+SMALL_ORDERS = [q for q in range(2, 33) if _is_field_order(q)]
+
+
+class TestLanes:
+    """Packed words against ``Field`` arithmetic, symbol by symbol."""
+
+    @pytest.mark.parametrize("q", SMALL_ORDERS)
+    def test_every_element_and_pair(self, q):
+        # word u holds every element once, and its q rotations v line up
+        # every pair (u_j, v_j) of elements, in one word add each
+        f = Field(q)
+        lanes = Lanes(f, q)
+        u = tuple(range(q))
+        assert lanes.unpack(lanes.pack(u)) == u
+        for e in range(q):
+            one = Lanes(f, 1)
+            assert one.unpack(one.pack((e,))) == (e,)
+            assert one.weight(one.pack((e,))) == int(e != 0)
+        for shift in range(q):
+            v = u[shift:] + u[:shift]
+            total = lanes.unpack(lanes.add(lanes.pack(u), lanes.pack(v)))
+            assert total == tuple(f.add(a, b) for a, b in zip(u, v))
+            assert lanes.weight(lanes.pack(total)) == hamming_weight(total)
+
+    @pytest.mark.parametrize("q", [251, 125, 243, 256])
+    def test_sampled_words_in_large_fields(self, q):
+        # 251 needs 9-bit sums; every lane at p - 1 (element q - 1 of a
+        # p^m field) gives the largest sum, 2p - 2, in every lane
+        f = Field(q)
+        rng = random.Random(q)
+        n = 12
+        lanes = Lanes(f, n)
+        words = [(q - 1,) * n, (0,) * n, (1,) * n]
+        for _ in range(60):
+            words.append(tuple(rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n)))
+        for u in words:
+            assert lanes.unpack(lanes.pack(u)) == u
+            assert lanes.weight(lanes.pack(u)) == hamming_weight(u)
+        for u, v in itertools.product(words[:12], words):
+            total = lanes.unpack(lanes.add(lanes.pack(u), lanes.pack(v)))
+            assert total == tuple(f.add(a, b) for a, b in zip(u, v))
+            assert lanes.weight(lanes.pack(total)) == hamming_weight(total)
+
+
+@pytest.mark.parametrize(
+    "q,k,t",
+    [(11, 5, 3), (13, 4, 4), (16, 4, 2), (9, 4, 2), (127, 3, 2), (251, 2, 2)],
+    ids=lambda v: str(v),
+)
+def test_rs_min_distance_is_singleton(q, k, t):
+    g = rs_systematic(q, k, t).generator
+    assert min_distance(g) == g.n - k + 1
+
+
+def test_bch_min_distance():
+    assert min_distance(bch_systematic(10, 2).generator) >= 5
+    hamming = bch_systematic(4, 1).generator
+    assert (hamming.n, hamming.k) == (7, 4)
+    assert min_distance(hamming) == 3
