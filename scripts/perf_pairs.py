@@ -14,9 +14,13 @@ falls on both sides alike.  For every end-to-end metric that the base's
 * the bound check: the change's median is no worse than the base's by
   more than the metric's bound, a fraction of the base's median.
 
-It also prints each side's share of failed operations and its runs that
-exited non-zero.  Exit status: 0 when every run succeeded, the change
-fails no larger share of operations and every bound holds; 1 otherwise.
+It also prints each side's share of failed operations, its median
+number of operations attempted per run and its runs that exited
+non-zero.  The attempted count tells a metric that moved with the
+number of operations a run fits (the benchmark keeps every result until
+its run ends, so memory grows with it) from one the change moved
+itself.  Exit status: 0 when every run succeeded, the change fails no
+larger share of operations and every bound holds; 1 otherwise.
 Only the standard library is used.
 
 Usage:
@@ -135,8 +139,9 @@ def main(argv=None) -> int:
         failed = sum(run.get("failed", 0) for run in runs)
         bad = sum(1 for run in runs if run["returncode"] != 0 or "metrics" not in run)
         shares[label] = failed / attempted if attempted else 0.0
+        per_run = statistics.median(run.get("attempted", 0) for run in runs)
         print(f"{label:<6} failed operations {failed}/{attempted} ({shares[label]:.2%}), "
-              f"runs not ok {bad}/{len(runs)}")
+              f"median attempted {per_run:g}, runs not ok {bad}/{len(runs)}")
         ok = ok and bad == 0
     if not ok:
         return 1

@@ -94,7 +94,7 @@ def mds_equality(q: int, k: int, t: int) -> bool:
     return q >= k + 2 * t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """All bounds for one (q, k, t, image_size) cell.
 

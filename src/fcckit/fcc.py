@@ -56,11 +56,18 @@ from .vectors import (
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """Explicit f: F_q^k -> labels, indexed by lexicographic message rank."""
+    """Explicit f: F_q^k -> labels, indexed by lexicographic message rank.
+
+    ``values`` is stored as ``bytes``, one byte per label, whenever every
+    label is an int in 0..255, and as a tuple of ints otherwise, so tables
+    given as a tuple, a list or bytes compare and hash equal.  Readers
+    index, iterate, count or take a set of the labels, which gives ints
+    either way.
+    """
 
     q: int
     k: int
-    values: tuple[int, ...]
+    values: bytes | tuple[int, ...]
 
     def __post_init__(self):
         prime_power_split(self.q)
@@ -71,8 +78,14 @@ class FunctionTable:
             raise DimensionError(
                 f"function table has {len(self.values)} entries, expected {expected}"
             )
-        if min(self.values) < 0:
-            raise DimensionError("function labels must be non-negative integers")
+        try:
+            # one pass stores the labels and checks that each is in 0..255
+            values = bytes(self.values)
+        except (TypeError, ValueError):
+            values = tuple(self.values)
+            if min(values) < 0:
+                raise DimensionError("function labels must be non-negative integers")
+        object.__setattr__(self, "values", values)
 
     @property
     def image_size(self) -> int:
@@ -93,9 +106,11 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
     message by the field index of the dot product; ``threshold`` takes an
     integer aux and indicates Hamming weight >= aux.  The other families
     take no aux, and one given to them is rejected.  ``hamming_weight``,
-    ``threshold`` and ``linear`` build their tables one digit at a time,
-    by whole-table maps: the messages with leading digit d are rank block
-    d, each the table over k - 1 symbols with d's term added.
+    ``threshold`` and ``linear`` build their tables as bytes, one digit at
+    a time, by ``bytes.translate``: the messages with leading digit d are
+    rank block d, each the table over k - 1 symbols with d's term added.
+    ``linear`` over q > 256, whose labels need not fit in a byte, does the
+    same by whole-table maps over a list.
     """
     prime_power_split(q)
     if k < 1:
@@ -104,9 +119,9 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
         raise DimensionError(f"{name} takes no aux")
     total = q**k
     if name == "or":
-        values = [0] + [1] * (total - 1)
+        values = b"\0" + b"\1" * (total - 1)
     elif name == "constant":
-        values = [0] * total
+        values = bytes(total)
     elif name == "identity":
         values = range(total)
     elif name == "hamming_weight":
@@ -116,25 +131,33 @@ def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
             raise DimensionError(f"linear needs a length-{k} coefficient vector as aux")
         coeffs = check_vector(tuple(aux), q, k, "coefficient vector")
         f = Field(q)
-        values = [0]
-        for a in reversed(coeffs):
-            # prepend one digit d to every message: the dot product v
-            # becomes shift[v] = v + a*d
-            blocks = []
-            for d in range(q):
-                ad = f.mul(a, d)
-                shift = [f.add(v, ad) for v in range(q)]
-                blocks += map(shift.__getitem__, values)
-            values = blocks
+        # prepend one digit d to every message: the dot product v becomes
+        # shift[v] = v + a*d
+        shifts = [
+            [[f.add(v, f.mul(a, d)) for v in range(q)] for d in range(q)] for a in coeffs
+        ]
+        if q <= 256:
+            # labels are field indices below q: each block is one translate
+            values = b"\0"
+            for rows in reversed(shifts):
+                values = b"".join(values.translate(bytes(row) + bytes(256 - q)) for row in rows)
+        else:
+            values = [0]
+            for rows in reversed(shifts):
+                blocks = []
+                for row in rows:
+                    blocks += map(row.__getitem__, values)
+                values = blocks
     elif name == "threshold":
         if aux is None or isinstance(aux, (tuple, list)) and len(aux) != 1:
             raise DimensionError("threshold needs a single integer aux")
         theta = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
-        indicator = [1 if w >= theta else 0 for w in range(k + 1)]
-        values = map(indicator.__getitem__, weight_table(q, k))
+        # weight w -> 1 exactly when w >= theta
+        c = min(max(theta, 0), 256)
+        values = weight_table(q, k).translate(bytes(c) + b"\1" * (256 - c))
     else:
         raise UnknownFunction(f"no built-in function named {name!r}")
-    return FunctionTable(q=q, k=k, values=tuple(values))
+    return FunctionTable(q=q, k=k, values=values)
 
 
 class FccScheme:
@@ -200,7 +223,7 @@ class FccScheme:
         return f"FccScheme({self.kind}, q={self.q}, k={self.k}, r={self.r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationResult:
     """Outcome of the pairwise distance-condition check."""
 
@@ -210,7 +233,7 @@ class VerificationResult:
     pairs_checked: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeOutcome:
     """Function value recovered from a received vector."""
 

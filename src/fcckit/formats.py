@@ -17,12 +17,14 @@ file lines; a truncated file reports the first missing line.
 
 Both directions handle a whole body at once with builtins rather than
 one line at a time: a function file is written by one ``%`` format and
-read by one ``isdecimal`` pass and ``map(int, ...)``; a scheme body's
-row widths are checked as one set, and its element indices once, by the
-bulk ``check_rows`` of the scheme's own constructor.  The formats are
-unchanged, and so is every error: only when a bulk check fails is the
-body walked line by line, up to its first bad or missing line, whose
-message and line number it raises.
+read by one ``isdecimal`` pass and ``map(int, ...)``, or by one
+``bytes.translate`` when every label is a single digit (the table stores
+its labels one byte each whenever they fit, see ``FunctionTable``); a
+scheme body's row widths are checked as one set, and its element indices
+once, by the bulk ``check_rows`` of the scheme's own constructor.  The
+formats are unchanged, and so is every error: only when a bulk check
+fails is the body walked line by line, up to its first bad or missing
+line, whose message and line number it raises.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .codes import GeneratorMatrix
 from .errors import DimensionError, FormatError, NotSystematic, RankDeficient
 from .fcc import FccScheme, FunctionTable
 from .gf import Field, prime_power_split
+
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _int_tokens(line: str, lineno: int, expected: int, what: str) -> list[int]:
@@ -104,7 +108,13 @@ def parse_function_file(text: str) -> FunctionTable:
         if len(body) < expected or not all(map(str.isdecimal, body)):
             _raise_first_bad(lines, expected, 1, "value")
     _reject_extra(lines, expected + 1)
-    return FunctionTable(q=q, k=k, values=tuple(map(int, body)))
+    joined = "".join(body)
+    if len(joined) == expected and joined.isascii():
+        # every label is one ASCII digit: one translate reads them all
+        values = joined.encode().translate(_DIGIT_VALUES)
+    else:
+        values = list(map(int, body))
+    return FunctionTable(q=q, k=k, values=values)
 
 
 def serialize_scheme_file(scheme: FccScheme) -> str:

@@ -89,7 +89,7 @@ class RequirementSet:
         return cls(q=q, k=k, t=t, order=order, demands=tuple(demands), d_max=d_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedundancySearchResult:
     """Exact r with a verifying witness parity table (rank-indexed)."""
 

@@ -78,13 +78,18 @@ def messages_at_distance(
             yield tuple(u)
 
 
-def weight_table(q: int, k: int) -> list[int]:
-    """Hamming weight of every message of F_q^k in rank order, built digit
-    by digit: prepending the digit 0 keeps every weight, and each of the
-    q - 1 nonzero digits adds one."""
-    weights = [0]
+# byte w -> w + 1: one translate adds one to every weight of a table
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def weight_table(q: int, k: int) -> bytes:
+    """Hamming weight of every message of F_q^k in rank order, one byte
+    each, built digit by digit: prepending the digit 0 keeps every weight,
+    and each of the q - 1 nonzero digits adds one (a weight fits in a byte
+    for every k whose q^k table fits in memory)."""
+    weights = b"\0"
     for _ in range(k):
-        weights += list(map((1).__add__, weights)) * (q - 1)
+        weights += weights.translate(_PLUS_ONE) * (q - 1)
     return weights
 
 

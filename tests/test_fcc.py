@@ -44,13 +44,14 @@ from fcckit.vectors import (
     messages_by_weight,
     messages_of_weight,
     unrank_message,
+    weight_table,
 )
 
 
 class TestBuiltinFunctions:
     def test_or(self):
         f = builtin_function("or", 2, 3)
-        assert f.values == (0, 1, 1, 1, 1, 1, 1, 1)
+        assert tuple(f.values) == (0, 1, 1, 1, 1, 1, 1, 1)
         assert f.image_size == 2
 
     def test_constant(self):
@@ -60,7 +61,7 @@ class TestBuiltinFunctions:
 
     def test_hamming_weight(self):
         f = builtin_function("hamming_weight", 2, 2)
-        assert f.values == (0, 1, 1, 2)
+        assert tuple(f.values) == (0, 1, 1, 2)
 
     def test_identity_is_bijective(self):
         f = builtin_function("identity", 3, 2)
@@ -140,7 +141,7 @@ def test_builtin_function_matches_per_message_loops(q, k, name, data):
         theta = data.draw(st.integers(-1, k + 1), label="theta")
         aux = data.draw(st.sampled_from((theta, (theta,))), label="aux")
     got = builtin_function(name, q, k, aux)
-    assert got.values == loop_builtin_function(name, q, k, aux)
+    assert tuple(got.values) == loop_builtin_function(name, q, k, aux)
 
 
 def builtin_cases(q, k):
@@ -159,10 +160,63 @@ def builtin_cases(q, k):
 def test_every_builtin_table_matches_per_message_loops(q):
     for k in range(1, 5):
         for name, aux in builtin_cases(q, k):
-            got = builtin_function(name, q, k, aux).values
+            got = tuple(builtin_function(name, q, k, aux).values)
             assert got == loop_builtin_function(name, q, k, aux), (name, q, k, aux)
             # labels stay ints, so a function file is written the same way
             assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17))
+def test_weight_table_matches_per_message_weights(q):
+    for k in range(1, 6):
+        if q**k > 20000:
+            break
+        got = weight_table(q, k)
+        assert type(got) is bytes
+        assert list(got) == [hamming_weight(u) for u in iter_messages(q, k)], (q, k)
+
+
+def test_linear_past_256_symbols_matches_per_message_loop():
+    # over q > 256 the labels, field indices, need not fit in a byte
+    for aux in ((1, 256), (0, 0), (3, 0)):
+        f = builtin_function("linear", 257, 2, aux)
+        assert tuple(f.values) == loop_builtin_function("linear", 257, 2, aux), aux
+        assert type(f.values) is (tuple if max(f.values) > 255 else bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.sampled_from((2, 3, 4)),
+    k=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_function_table_stores_labels_by_value(q, k, data):
+    """Labels in and out of 0..255: stored elementwise equal, as bytes
+    exactly when every label fits, equal and hash-equal whether given as a
+    tuple, a list or bytes; negative labels and wrong lengths raise the
+    same errors either way."""
+    n = q**k
+    lo, hi = data.draw(st.sampled_from(((0, 1), (0, 255), (200, 300), (0, 2**70), (-3, 255))))
+    size = data.draw(st.sampled_from((n, n, n, n - 1, n + 1)), label="size")
+    labels = data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+    fits = all(0 <= x <= 255 for x in labels)
+    inputs = [tuple(labels), list(labels)] + ([bytes(labels)] if fits else [])
+    for values in inputs:
+        if size != n:
+            with pytest.raises(DimensionError) as exc:
+                FunctionTable(q, k, values)
+            assert str(exc.value) == f"function table has {size} entries, expected {n}"
+        elif min(labels) < 0:
+            with pytest.raises(DimensionError) as exc:
+                FunctionTable(q, k, values)
+            assert str(exc.value) == "function labels must be non-negative integers"
+        else:
+            f = FunctionTable(q, k, values)
+            assert list(f.values) == labels
+            assert type(f.values) is (bytes if fits else tuple)
+            first = FunctionTable(q, k, inputs[0])
+            assert f == first and hash(f) == hash(first)
+            assert f.image_size == len(set(labels))
 
 
 class TestSchemeConstruction:

@@ -26,11 +26,11 @@ from fcckit.vectors import iter_messages
 class TestFunctionFile:
     def test_parse_identity_k1(self):
         f = parse_function_file("2 1\n0\n1\n")
-        assert (f.q, f.k, f.values) == (2, 1, (0, 1))
+        assert (f.q, f.k, tuple(f.values)) == (2, 1, (0, 1))
 
     def test_parse_or_k2(self):
         f = parse_function_file("2 2\n0\n1\n1\n1\n")
-        assert f.values == builtin_function("or", 2, 2).values
+        assert tuple(f.values) == tuple(builtin_function("or", 2, 2).values)
 
     def test_missing_line(self):
         with pytest.raises(FormatError) as exc:
@@ -62,7 +62,7 @@ class TestFunctionFile:
 
     def test_trailing_whitespace_tolerated(self):
         f = parse_function_file("2 1 \n0  \n1\n\n  \n")
-        assert f.values == (0, 1)
+        assert tuple(f.values) == (0, 1)
 
     @pytest.mark.parametrize("name", ["or", "identity", "hamming_weight", "constant"])
     @pytest.mark.parametrize("q,k", [(2, 1), (2, 4), (3, 2), (4, 2), (5, 2), (7, 2)])
@@ -79,6 +79,23 @@ class TestFunctionFile:
         ):
             text = serialize_function_file(f)
             assert serialize_function_file(parse_function_file(text)) == text
+
+    @pytest.mark.parametrize(
+        "q,k,labels",
+        [
+            (2, 2, (0, 9, 3, 3)),  # one digit each, read by one translate
+            (2, 2, (0, 255, 10, 7)),  # bytes, several digits
+            (2, 2, (256, 0, 1, 2)),  # a label past a byte: kept as ints
+            (3, 1, (10**20, 5, 0)),
+        ],
+    )
+    def test_roundtrip_byte_and_int_labels(self, q, k, labels):
+        text = f"{q} {k}\n" + "".join(f"{x}\n" for x in labels)
+        f = parse_function_file(text)
+        assert tuple(f.values) == labels
+        assert type(f.values) is (bytes if max(labels) <= 255 else tuple)
+        assert f == FunctionTable(q, k, labels)
+        assert serialize_function_file(f) == text
 
 
 class TestSchemeFile:
@@ -320,7 +337,9 @@ SMALL_CELLS = ((2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2), (
 @given(data=st.data())
 def test_function_parser_matches_per_line_reference(data):
     q, k = data.draw(st.sampled_from(SMALL_CELLS), label="q, k")
-    labels = data.draw(st.lists(st.integers(0, 20), min_size=q**k, max_size=q**k), label="labels")
+    # single digits, several digits, and labels past a byte
+    top = data.draw(st.sampled_from((9, 20, 300)), label="top")
+    labels = data.draw(st.lists(st.integers(0, top), min_size=q**k, max_size=q**k), label="labels")
     text = render(data, f"{q} {k}", [str(v) for v in labels], q)
     assert outcome(parse_function_file, text) == outcome(ref_parse_function_file, text)
 

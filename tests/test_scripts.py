@@ -42,13 +42,15 @@ seed = int(args["--seed"])
 side = os.path.basename(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 with open(os.environ["STUB_LOG"], "a") as log:
     log.write(f"{side} {seed} {args['--workload']} {args['--seconds']}\\n")
-# the change halves the tail and grows memory by 10%; the other metrics tie
+# the change halves the tail, grows memory by 10% and fits more operations;
+# the other metrics tie
 tail = (20.0 if side == "change" else 40.0) + seed % 3
 rss = 22.0 if side == "change" else 20.0
+attempted = 60 + 2 * (seed % 2) if side == "change" else 50
 metrics = {"setup_s": 0.01, "ops_per_s": 100.0, "op_p50_ms": 5.0,
            "op_tail_ms": tail, "peak_rss_mb": rss}
 print("progress line")
-print(json.dumps({"correct": True, "attempted": 50, "failed": 0,
+print(json.dumps({"correct": True, "attempted": attempted, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}}))
 '''
 
@@ -79,7 +81,9 @@ def test_perf_pairs_against_stub_checkouts(tmp_path):
         "change 510 certify_codes 2.0", "base 510 certify_codes 2.0",
     ]
     lines = {line.split()[0]: line for line in proc.stdout.splitlines()}
-    assert "failed operations 0/200 (0.00%), runs not ok 0/4" in lines["base"]
+    assert "failed operations 0/200 (0.00%), median attempted 50, runs not ok 0/4" in lines["base"]
+    # 62, 60, 62, 60 operations over seeds 501, 502, 503 and 510
+    assert "failed operations 0/244 (0.00%), median attempted 61, runs not ok 0/4" in lines["change"]
     tail = lines["op_tail_ms"]
     assert "base 40.5 [40, 41.25]" in tail and "change 20.5 [20, 21.25]" in tail
     assert "wins 4/4  gain yes" in tail and "bound ok (+49.4% against -25%)" in tail
