@@ -14,8 +14,8 @@ from .bounds import (
     sphere_packing_min_r,
     upper_bound_binary,
 )
-from .channel import ErrorVector, enumerate_errors, inject
-from .codes import CodeSummary, GeneratorMatrix, linear_encode, min_distance, summarize
+from .channel import inject
+from .codes import GeneratorMatrix, linear_encode, min_distance
 from .constructions import ConstructionReport, bch_systematic, or_scheme, rs_systematic
 from .errors import FccError
 from .fcc import (
@@ -42,10 +42,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CodeSummary",
     "ConstructionReport",
     "DecodeOutcome",
-    "ErrorVector",
     "FccError",
     "FccScheme",
     "Field",
@@ -56,7 +54,6 @@ __all__ = [
     "VerificationResult",
     "bch_systematic",
     "builtin_function",
-    "enumerate_errors",
     "exact_redundancy",
     "fcc_decode",
     "fcc_encode",
@@ -74,7 +71,6 @@ __all__ = [
     "serialize_function_file",
     "serialize_scheme_file",
     "sphere_packing_min_r",
-    "summarize",
     "upper_bound_binary",
     "verify_fcc",
 ]

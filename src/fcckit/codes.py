@@ -15,7 +15,6 @@ q^k exceeds the budget rather than falling back to sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -23,18 +22,6 @@ from . import defaults
 from .errors import BudgetExceeded, DimensionError, RankDeficient
 from .gf import Field
 from .vectors import check_rows, check_vector
-
-
-@dataclass(frozen=True)
-class CodeSummary:
-    """Shape [n, k, d]_q plus the systematic and MDS predicates."""
-
-    n: int
-    k: int
-    q: int
-    d: int
-    is_systematic: bool
-    is_mds: bool
 
 
 class GeneratorMatrix:
@@ -290,16 +277,3 @@ def min_distance(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) 
         if weight < best:
             best = weight
     return best
-
-
-def summarize(g: GeneratorMatrix, budget: int = defaults.ENUMERATION_BUDGET) -> CodeSummary:
-    """Full [n, k, d]_q summary with systematic and MDS predicates."""
-    d = min_distance(g, budget)
-    return CodeSummary(
-        n=g.n,
-        k=g.k,
-        q=g.q,
-        d=d,
-        is_systematic=g.is_systematic(),
-        is_mds=d == g.n - g.k + 1,
-    )

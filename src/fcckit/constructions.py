@@ -22,6 +22,9 @@ from .fcc import FccScheme
 from .gf import Field, minimal_poly
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class ConstructionReport:
     """A built encoder plus its parameters and claimed distance."""
@@ -85,9 +88,7 @@ def rs_systematic(q: int, k: int, t: int) -> ConstructionReport:
     )
 
 
-def bch_systematic(
-    k: int, t: int, degree_cap: int = defaults.BCH_DEGREE_CAP
-) -> ConstructionReport:
+def bch_systematic(k: int, t: int) -> ConstructionReport:
     """Shortened systematic binary BCH code of dimension k, distance >= 2t+1.
 
     Takes the smallest m with 2^m - 1 >= k + m*t, builds the narrow-sense
@@ -98,11 +99,12 @@ def bch_systematic(
     """
     _check_kt(k, t)
     m = bch_extension_degree(k, t)
-    if m > degree_cap:
+    cap = defaults.BCH_DEGREE_CAP
+    if m > cap:
         raise BudgetExceeded(
-            f"BCH construction needs extension degree {m} > cap {degree_cap}",
+            f"BCH construction needs extension degree {m} > cap {cap}",
             required=m,
-            budget=degree_cap,
+            budget=cap,
             unit="extension degree",
         )
     ext = Field(2**m)
@@ -118,11 +120,13 @@ def bch_systematic(
     # and reduces by g when the x^r bit comes out.
     top = 1 << r
     rem = g_mask ^ top  # x^r mod g
-    zeros = (0,) * k
+    row_digits = f"0{k + r}b"
     rows = []
     for i in range(k):
-        parity = tuple((rem >> j) & 1 for j in range(r))
-        rows.append(zeros[:i] + (1,) + zeros[i + 1 :] + parity)
+        # the row e_i | parity as one n-bit word, bit j for symbol j,
+        # written out low bit first and read as 0/1 bytes
+        row = format(rem << k | 1 << i, row_digits)[::-1]
+        rows.append(tuple(row.encode().translate(_BINARY_DIGITS)))
         rem <<= 1
         if rem & top:
             rem ^= g_mask

@@ -11,8 +11,5 @@ ENUMERATION_BUDGET = 2**22
 # Backtracking nodes for the exact redundancy search.
 SEARCH_NODE_BUDGET = 2**22
 
-# Error vectors emitted by channel.enumerate_errors.
-ERROR_ENUMERATION_BUDGET = 10**6
-
 # Largest extension degree the BCH construction will touch.
 BCH_DEGREE_CAP = 16

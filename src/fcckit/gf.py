@@ -131,9 +131,6 @@ class Field:
 
     # -- element views -------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def check(self, a: int) -> int:
         if not (0 <= a < self.q):
             raise FieldMismatch(f"{a} is not an element index of {self!r}")
@@ -210,9 +207,6 @@ class Field:
             self._build_tables()
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -226,24 +220,11 @@ class Field:
 
     # -- structure -------------------------------------------------------
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative order")
-        order = self.q - 1
-        for prime in _prime_factors(self.q - 1):
-            while order % prime == 0 and self.pow(a, order // prime) == 1:
-                order //= prime
-        return order
-
     def primitive_element(self) -> int:
-        """Smallest element index with multiplicative order q - 1."""
+        """Smallest element index with multiplicative order q - 1: the
+        generator the log tables are built from."""
         if self._primitive is None:
-            target = self.q - 1
-            for a in range(1, self.q):
-                if self.element_order(a) == target:
-                    self._primitive = a
-                    break
+            self._build_tables()
         return self._primitive
 
     # -- internals -------------------------------------------------------
@@ -280,8 +261,9 @@ class Field:
         return result
 
     def _build_tables(self) -> None:
-        # Discrete-log tables for extension fields; primitive element
-        # found by scanning indices in canonical order.
+        # Discrete-log tables for extension fields (a prime field builds
+        # them only for primitive_element); primitive element found by
+        # scanning indices in canonical order.
         target = self.q - 1
         factors = _prime_factors(target)
         g = None
@@ -311,8 +293,7 @@ class Field:
         self._log = log
         self._exp = exp
         self._zech = zech
-        if self._primitive is None:
-            self._primitive = g
+        self._primitive = g
 
 
 def _poly_mod_prime(p: int, dividend: Sequence[int], divisor: Sequence[int]) -> list[int]:

@@ -8,8 +8,8 @@ import random
 import time
 
 from fcckit.bounds import sphere_packing_min_r, upper_bound_binary
-from fcckit.channel import enumerate_errors, inject
-from fcckit.codes import min_distance, summarize
+from fcckit.channel import inject
+from fcckit.codes import min_distance
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.fcc import (
     FccScheme,
@@ -28,7 +28,7 @@ from fcckit.formats import (
 )
 from fcckit.gf import Field
 from fcckit.search import exact_redundancy
-from fcckit.vectors import iter_messages, unrank_message
+from fcckit.vectors import iter_messages, messages_at_distance, unrank_message
 
 
 def _report(number: int, description: str, checks) -> None:
@@ -85,11 +85,9 @@ def test_criterion_3_lower_bound_all_254_functions():
 
 def test_criterion_4_mds_achievability():
     def checks():
-        rep = rs_systematic(11, 5, 3)
-        summary = summarize(rep.generator)
-        assert summary.is_systematic
-        assert summary.d == 7 == 2 * 3 + 1 == summary.n - summary.k + 1
-        assert summary.is_mds
+        g = rs_systematic(11, 5, 3).generator
+        assert g.is_systematic()
+        assert min_distance(g) == 7 == 2 * 3 + 1 == g.n - g.k + 1
         boundary = rs_systematic(7, 3, 2)
         assert min_distance(boundary.generator) == 5
         return 60.0
@@ -116,13 +114,15 @@ def test_criterion_6_decode_guarantee():
         scheme = or_scheme(2, 3, 1)
         f = builtin_function("or", 2, 3)
         field = scheme.field
+        zero = (0,) * scheme.n
+        errors = [e for w in (0, 1) for e in messages_at_distance(zero, 2, w)]
         successes = 0
         trials = 0
         for u in iter_messages(2, 3):
             cw = fcc_encode(scheme, u)
-            for err in enumerate_errors(scheme.n, 1, 2):
+            for err in errors:
                 trials += 1
-                y = tuple(field.add(a, b) for a, b in zip(cw, err.vector))
+                y = tuple(field.add(a, b) for a, b in zip(cw, err))
                 out = fcc_decode(scheme, f, 1, y)
                 if out.label == f.label(u) and out.within_radius:
                     successes += 1
@@ -202,13 +202,16 @@ def test_criterion_9_property_suites():
             f = FunctionTable(2, 3, values)
             assert (find_critical_pair(f) is None) == (f.image_size == 1)
 
-        # error enumeration counts match the closed form
+        # the error rings around zero, out to min(t, n), count the Hamming ball
         from fcckit.bounds import hamming_ball_volume
 
         for n in range(1, 9):
+            zero = (0,) * n
             for t in range(0, 4):
                 for q in (2, 3, 4, 5):
-                    got = sum(1 for _ in enumerate_errors(n, t, q))
+                    got = sum(
+                        1 for w in range(min(t, n) + 1) for _ in messages_at_distance(zero, q, w)
+                    )
                     assert got == hamming_ball_volume(n, t, q), (n, t, q)
 
         # file formats round-trip byte-identically

@@ -1,12 +1,11 @@
-"""Error injection and exhaustive error enumeration."""
+"""Error injection."""
 
 import random
 
 import pytest
 
-from fcckit.bounds import hamming_ball_volume
-from fcckit.channel import enumerate_errors, inject
-from fcckit.errors import BudgetExceeded, DimensionError, WeightTooLarge
+from fcckit.channel import inject
+from fcckit.errors import WeightTooLarge
 from fcckit.gf import Field
 from fcckit.vectors import hamming_distance
 
@@ -56,52 +55,3 @@ class TestInject:
         second = inject(f, (0,) * 6, 2, seed=rng)
         assert first != second or True  # consumes state without reseeding
         assert hamming_distance((0,) * 6, second) == 2
-
-
-class TestEnumerateErrors:
-    def test_small_binary(self):
-        out = list(enumerate_errors(3, 1, 2))
-        assert [e.vector for e in out] == [
-            (0, 0, 0),
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-        ]
-        assert [e.weight for e in out] == [0, 1, 1, 1]
-
-    def test_ternary_count(self):
-        assert sum(1 for _ in enumerate_errors(3, 2, 3)) == 19
-
-    def test_radius_clamped_to_length(self):
-        out = list(enumerate_errors(2, 5, 2))
-        assert len(out) == 4
-        assert {e.vector for e in out} == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_counts_match_ball_volume(self):
-        for n in range(1, 9):
-            for t in range(0, 4):
-                for q in (2, 3, 4, 5):
-                    got = sum(1 for _ in enumerate_errors(n, t, q))
-                    assert got == hamming_ball_volume(n, t, q)
-
-    def test_no_duplicates_and_ordering(self):
-        out = list(enumerate_errors(4, 2, 3))
-        vectors = [e.vector for e in out]
-        assert len(set(vectors)) == len(vectors)
-        keys = [
-            (e.weight, tuple(i for i, x in enumerate(e.vector) if x), e.vector)
-            for e in out
-        ]
-        assert keys == sorted(keys)
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded) as exc:
-            list(enumerate_errors(8, 3, 5, budget=100))
-        assert str(exc.value) == "error enumeration needs 4065 vectors, budget is 100"
-        assert exc.value.details == {"required": 4065, "budget": 100, "unit": "vectors"}
-
-    def test_validation(self):
-        with pytest.raises(DimensionError):
-            list(enumerate_errors(0, 1, 2))
-        with pytest.raises(DimensionError):
-            list(enumerate_errors(3, 1, 1))

@@ -1,4 +1,4 @@
-"""Generator matrices, brute-force minimum distance, code summaries."""
+"""Generator matrices and minimum distance against brute force."""
 
 import itertools
 import random
@@ -13,7 +13,6 @@ from fcckit.codes import (
     iter_projective_shells,
     linear_encode,
     min_distance,
-    summarize,
 )
 from fcckit.constructions import bch_systematic, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, InvalidOrder, RankDeficient
@@ -89,7 +88,8 @@ class TestConstruction:
         calls = []
         rank = codes._rank
         monkeypatch.setattr(codes, "_rank", lambda f, rows: calls.append(1) or rank(f, rows))
-        GeneratorMatrix(Field(3), [(0, 1, 1), (1, 0, 2)])  # full rank, not systematic
+        g = GeneratorMatrix(Field(3), [(0, 1, 1), (1, 0, 2)])  # full rank
+        assert not g.is_systematic()
         with pytest.raises(RankDeficient):
             GeneratorMatrix(Field(3), [(1, 2, 0), (2, 1, 0)])  # row 2 = 2 * row 1
         with pytest.raises(RankDeficient):
@@ -159,30 +159,6 @@ class TestMinDistance:
         assert min_distance(g2) == min_distance(g)
 
 
-class TestSummarize:
-    def test_repetition_is_mds(self):
-        s = summarize(GeneratorMatrix(F2, [(1, 1, 1)]))
-        assert (s.n, s.k, s.d) == (3, 1, 3)
-        assert s.is_mds
-
-    def test_hamming_not_mds(self):
-        s = summarize(GeneratorMatrix(F2, HAMMING_74_ROWS))
-        assert s.d == 3
-        assert not s.is_mds
-        assert s.is_systematic
-
-    def test_rs_systematic_mds(self):
-        s = summarize(rs_systematic(7, 3, 2).generator)
-        assert s.is_systematic and s.is_mds
-        assert (s.n, s.k, s.d, s.q) == (7, 3, 5, 7)
-
-    def test_non_systematic_flag(self):
-        g = GeneratorMatrix(F2, [(1, 1, 1)])
-        assert summarize(g).is_systematic  # k=1 leading block is (1,)
-        g2 = GeneratorMatrix(F2, [(0, 1, 1), (1, 0, 1)])
-        assert not summarize(g2).is_systematic
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_singleton_bound(data):
@@ -201,9 +177,7 @@ def test_singleton_bound(data):
         g = GeneratorMatrix(f, rows)
     except RankDeficient:
         return
-    s = summarize(g)
-    assert 1 <= s.d <= s.n - s.k + 1
-    assert s.is_mds == (s.d == s.n - s.k + 1)
+    assert 1 <= min_distance(g) <= g.n - g.k + 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fcckit.codes import min_distance, summarize
+from fcckit.codes import min_distance
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, FieldTooSmall, InvalidOrder
 from fcckit.fcc import builtin_function, fcc_decode, fcc_encode, verify_fcc
@@ -135,9 +135,9 @@ class TestRsSystematic:
     @pytest.mark.parametrize("q,k,t", [(5, 2, 1), (7, 3, 2), (8, 3, 2), (9, 5, 2), (11, 5, 3)])
     def test_always_systematic_mds_with_exact_distance(self, q, k, t):
         rep = rs_systematic(q, k, t)
-        s = summarize(rep.generator)
-        assert s.is_systematic and s.is_mds
-        assert s.d == 2 * t + 1
+        g = rep.generator
+        assert g.is_systematic()
+        assert min_distance(g) == 2 * t + 1 == g.n - g.k + 1
         assert rep.r == 2 * t == rep.n - rep.k
 
 
@@ -166,10 +166,11 @@ class TestBchSystematic:
         assert min_distance(rep.generator) == 3
 
     def test_degree_cap(self):
+        # 2^16 - 1 < 100000 + 16*3, so m = 17; it raises before building
         with pytest.raises(BudgetExceeded) as exc:
-            bch_systematic(100, 3, degree_cap=6)
-        assert str(exc.value) == "BCH construction needs extension degree 7 > cap 6"
-        assert exc.value.details == {"required": 7, "budget": 6, "unit": "extension degree"}
+            bch_systematic(100000, 3)
+        assert str(exc.value) == "BCH construction needs extension degree 17 > cap 16"
+        assert exc.value.details == {"required": 17, "budget": 16, "unit": "extension degree"}
 
     def test_generators_match_division_oracle(self):
         # Row i depends on k only through m (which fixes g), so the least

@@ -8,7 +8,9 @@ every exception class but ``FccError`` is referenced outside
 fcckit module.  So a deletion cannot leave an unused import, an orphaned
 helper or a dead error class behind, and a helper two modules share is
 public.  ``__init__.py`` imports exactly the names its ``__all__``
-lists.
+lists, and every function among them is called by the package, a
+script or the benchmark from outside the module that defines it, so the
+public API holds nothing only tests read.
 """
 
 import ast
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fcckit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fcckit"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -104,16 +107,57 @@ def test_every_error_class_is_referenced_elsewhere():
     assert not dead, f"error classes no other module references: {dead}"
 
 
-def test_init_imports_exactly_all():
-    tree = parse(PACKAGE / "__init__.py")
-    listed = next(
+def exported_names(tree):
+    """The literal ``__all__`` list of ``__init__.py``."""
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
     )
+
+
+def called_names(tree):
+    """Every name called in the tree, as ``name(...)`` or ``obj.name(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                names.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                names.add(node.func.attr)
+    return names
+
+
+def test_init_imports_exactly_all():
+    tree = parse(PACKAGE / "__init__.py")
+    listed = exported_names(tree)
     imported = sorted(name for name, _ in imported_names(tree))
     assert imported == sorted(listed), (
         f"imported but not in __all__: {sorted(set(imported) - set(listed))}; "
         f"in __all__ but not imported: {sorted(set(listed) - set(imported))}"
     )
+
+
+def test_every_exported_function_is_called_outside_its_module():
+    # classes are exempt: callers read result types by attribute
+    init = parse(PACKAGE / "__init__.py")
+    home = {
+        alias.asname or alias.name: PACKAGE / f"{node.module}.py"
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    sources = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    callers = [path for path in sources if path != PACKAGE / "__init__.py"]
+    calls = {path: called_names(parse(path)) for path in callers}
+    uncalled = []
+    for name in exported_names(init):
+        module = home[name]
+        if not any(
+            isinstance(node, ast.FunctionDef) and node.name == name for node in parse(module).body
+        ):
+            continue
+        if not any(name in names for path, names in calls.items() if path != module):
+            uncalled.append(f"{module.name}:{name}")
+    assert not uncalled, f"exported functions nothing outside their module calls: {uncalled}"
