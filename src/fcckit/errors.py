@@ -21,11 +21,7 @@ class DivisionByZero(FccError, ZeroDivisionError):
 
 
 class FieldMismatch(FccError, ValueError):
-    """Operands belong to different finite fields."""
-
-
-class ReducibleModulus(FccError, ValueError):
-    """Supplied extension-field modulus is not monic irreducible of the right degree."""
+    """An integer is not an element index 0..q-1 of the field it is used in."""
 
 
 class DimensionError(FccError, ValueError):

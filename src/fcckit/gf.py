@@ -19,16 +19,9 @@ of the index encoding: 1 + x raises only the constant coefficient.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionError,
-    DivisionByZero,
-    FieldMismatch,
-    InvalidOrder,
-    ReducibleModulus,
-)
+from .errors import DimensionError, DivisionByZero, FieldMismatch, InvalidOrder
 
 
 def is_prime(n: int) -> bool:
@@ -81,53 +74,47 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+_FIELDS: dict[int, Field] = {}
+
+
 class Field:
     """Finite field F_q with elements represented as indices 0..q-1.
 
+    ``Field(q)`` is the one field of order q, always with the canonical
+    modulus: the first call builds it and every later call, pickle or
+    copy returns that same instance, so identity is equality and its
+    log tables, built on first use, last for the life of the process.
     All arithmetic methods take and return plain ints.  Instances are
     immutable after construction and safe to share between threads.
     """
 
     __slots__ = ("q", "p", "m", "modulus", "_mod_mask", "_exp", "_log", "_zech", "_primitive")
 
-    def __init__(self, q: int, modulus: Sequence[int] | None = None):
+    def __new__(cls, q: int) -> Field:
+        field = _FIELDS.get(q)
+        if field is not None:
+            return field
         p, m = prime_power_split(q)
-        self.q = q
-        self.p = p
-        self.m = m
-        if modulus is None:
-            modulus = canonical_modulus(p, m) if m > 1 else (0, 1)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(
-                    f"modulus must be monic of degree {m}, got coefficients {modulus}"
-                )
-            if m > 1 and not _is_irreducible(p, modulus):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-        self.modulus = tuple(modulus)
-        self._mod_mask = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
-        self._primitive: int | None = None
+        field = super().__new__(cls)
+        field.q = q
+        field.p = p
+        field.m = m
+        field.modulus = canonical_modulus(p, m) if m > 1 else (0, 1)
+        field._mod_mask = sum(c << i for i, c in enumerate(field.modulus)) if p == 2 else 0
+        field._exp = None
+        field._log = None
+        field._zech = None
+        field._primitive = None
+        # of concurrent first calls, the one that stores first wins for all
+        return _FIELDS.setdefault(q, field)
 
-    # -- identity ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.q == other.q
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.q, self.modulus))
+    def __reduce__(self):
+        # q alone: a pickle or copy carries no tables and, on loading,
+        # neither replaces the interned instance nor writes onto it
+        return Field, (self.q,)
 
     def __repr__(self) -> str:
-        if self.m == 1:
-            return f"Field({self.q})"
-        return f"Field({self.q}, modulus={list(self.modulus)})"
+        return f"Field({self.q})"
 
     # -- element views -------------------------------------------------
 
@@ -328,10 +315,10 @@ def _is_irreducible(p: int, modulus: Sequence[int]) -> bool:
     return True
 
 
-@cache
 def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over F_p with the smallest index
-    encoding; searched once per (p, m), since every ``Field(p**m)`` asks."""
+    encoding; searched once per process for each order p**m, when
+    ``Field(p**m)`` first builds its interned instance."""
     for idx in range(p**m, 2 * p**m):
         coeffs = []
         rest = idx

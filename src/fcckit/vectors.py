@@ -13,10 +13,6 @@ from typing import Iterator, Sequence
 from .errors import DimensionError
 
 
-def hamming_weight(u: Sequence[int]) -> int:
-    return sum(1 for x in u if x != 0)
-
-
 def hamming_distance(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")

@@ -18,9 +18,13 @@ from fcckit.constructions import bch_systematic, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, InvalidOrder, RankDeficient
 from fcckit.fcc import FccScheme, _parity_rows
 from fcckit.gf import Field, prime_power_split
-from fcckit.vectors import hamming_distance, hamming_weight, iter_messages
+from fcckit.vectors import hamming_distance, iter_messages
 
 F2 = Field(2)
+
+
+def hamming_weight(u) -> int:
+    return sum(1 for x in u if x != 0)
 
 HAMMING_74_ROWS = (
     (1, 0, 0, 0, 1, 1, 0),

@@ -1,6 +1,8 @@
 """FunctionFile and SchemeFile parsing, serialization, round-trips, and
 the bulk parsers against per-line reference parsers."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +195,28 @@ def test_each_parsed_scheme_is_checked_once(monkeypatch, scheme, rows):
     assert serialize_scheme_file(parse_scheme_file(text)) == text
     assert checked == [rows]
     assert fields == [scheme.q]
+
+
+RELOADED_SCHEMES = {
+    **{f"rs({q},3,2)": lambda q=q: rs_systematic(q, 3, 2).scheme for q in (7, 8, 9, 16, 17)},
+    "bch(8,2)": lambda: bch_systematic(8, 2).scheme,
+    "or(3,6,2)": lambda: or_scheme(3, 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(RELOADED_SCHEMES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reloaded_scheme_keeps_its_field_and_codewords(name, data):
+    # a file names the field by q alone, and Field(q) is the one field of
+    # order q, so a saved or pickled scheme reloads onto the same instance
+    scheme = RELOADED_SCHEMES[name]()
+    symbol = st.integers(0, scheme.q - 1)
+    u = tuple(data.draw(st.lists(symbol, min_size=scheme.k, max_size=scheme.k)))
+    reloaded = parse_scheme_file(serialize_scheme_file(scheme)), pickle.loads(pickle.dumps(scheme))
+    for back in reloaded:
+        assert back.field is scheme.field
+        assert fcc_encode(back, u) == fcc_encode(scheme, u)
 
 
 # -- per-line reference parsers ---------------------------------------------

@@ -1,17 +1,22 @@
 """Field arithmetic and minimal polynomials."""
 
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fcckit.errors import (
-    DivisionByZero,
-    FieldMismatch,
-    InvalidOrder,
-    ReducibleModulus,
-)
+import fcckit.gf
+from fcckit.errors import DivisionByZero, FieldMismatch, InvalidOrder
 from fcckit.gf import Field, canonical_modulus, minimal_poly, prime_power_split
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -53,20 +58,56 @@ class TestFieldMake:
         assert Field(9).modulus == (1, 0, 1)  # x^2 + 1
         assert canonical_modulus(2, 5) == (1, 0, 1, 0, 0, 1)  # x^5 + x^2 + 1
 
-    def test_explicit_modulus(self):
-        f = Field(16, modulus=[1, 1, 0, 0, 1])
-        assert f.modulus == (1, 1, 0, 0, 1)
-
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ReducibleModulus):
-            Field(16, modulus=[1, 0, 0, 0, 1])  # x^4 + 1 = (x+1)^4
-        with pytest.raises(ReducibleModulus):
-            Field(16, modulus=[1, 1, 0, 1])  # wrong degree
-
     def test_equality_and_hash(self):
-        assert Field(16) == Field(16)
-        assert Field(16) != Field(16, modulus=[1, 0, 0, 1, 1])
-        assert hash(Field(9)) == hash(Field(9))
+        # one instance per order: identity is equality
+        for q in SMALL_ORDERS:
+            assert Field(q) is Field(q)
+        assert Field(16) != Field(4)
+        assert {Field(9): "nine"}[Field(9)] == "nine"
+
+    @pytest.mark.parametrize("q", [5, 9, 16, 2048])
+    def test_pickle_and_copy_keep_the_interned_instance(self, q):
+        f = Field(q)
+        f.mul(2, 3)  # with its tables built
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert len(pickle.dumps(f)) < 64  # carries q, not the tables
+
+    def test_invalid_order_is_never_cached(self):
+        for _ in range(3):
+            with pytest.raises(InvalidOrder):
+                Field(6)
+        assert 6 not in fcckit.gf._FIELDS
+
+    def test_concurrent_first_calls_share_one_instance(self):
+        # orders no other test builds, so each call below is a first one
+        orders = (3**7, 7**4, 5**5)
+        assert not set(orders) & set(fcckit.gf._FIELDS)
+        got = {q: [] for q in orders}
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=30)
+            for q in orders:
+                f = Field(q)
+                got[q].append((f, f.mul(2, 2)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for q in orders:
+            assert len(got[q]) == 8
+            assert {id(f) for f, _ in got[q]} == {id(Field(q))}
+            assert {product for _, product in got[q]} == {4 % Field(q).p}
 
 
 class TestArithmetic:
@@ -157,10 +198,9 @@ def coeff_neg(f: Field, a: int) -> int:
 class TestZechAddition:
     @pytest.mark.parametrize(
         "field",
-        [Field(q) for q in ODD_PM_ORDERS]
-        # x^2 + x + 2 and x^3 + 2x + 2: irreducible, not the canonical moduli
-        + [Field(9, modulus=[2, 1, 1]), Field(27, modulus=[2, 2, 0, 1])],
-        ids=repr,
+        [Field(q) for q in ODD_PM_ORDERS],
+        # each id names the modulus its Zech table is checked under
+        ids=lambda f: f"Field({f.q}, modulus={list(f.modulus)})",
     )
     def test_matches_coefficient_formulas(self, field):
         q = field.q
@@ -173,10 +213,26 @@ class TestZechAddition:
                 assert field.sub(s, b) == a
 
     def test_add_before_any_mul(self):
-        # the Zech table is built on first use by add as well as by mul
+        # the Zech table is built on first use by add as well as by mul;
+        # this process has long built Field(49)'s tables, so the first
+        # add runs in a fresh interpreter
+        code = (
+            "from fcckit.gf import Field\n"
+            "f = Field(49)\n"
+            "assert f._zech is None and f._exp is None\n"
+            "print(f.add(1, 48), Field(49).neg(8))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
         f = Field(49)
-        assert f.add(1, 48) == coeff_add(f, 1, 48)
-        assert Field(49).neg(8) == coeff_neg(f, 8)
+        assert proc.stdout.split() == [str(coeff_add(f, 1, 48)), str(coeff_neg(f, 8))]
 
 
 def _orbit_product(field: Field, beta: int) -> tuple[int, ...]:
@@ -199,7 +255,7 @@ def _orbit_product(field: Field, beta: int) -> tuple[int, ...]:
 
 @pytest.fixture(scope="module")
 def gf16():
-    return Field(16, modulus=[1, 1, 0, 0, 1])
+    return Field(16)
 
 
 class TestMinimalPoly:

@@ -9,8 +9,10 @@ fcckit module.  So a deletion cannot leave an unused import, an orphaned
 helper or a dead error class behind, and a helper two modules share is
 public.  ``__init__.py`` imports exactly the names its ``__all__``
 lists, and every function among them is called by the package, a
-script or the benchmark from outside the module that defines it, so the
-public API holds nothing only tests read.
+script or the benchmark from outside the module that defines it; and
+every public module-level function or class is read by the package, a
+script or the benchmark outside its own definition.  So the public API
+holds nothing only tests read.
 """
 
 import ast
@@ -161,3 +163,25 @@ def test_every_exported_function_is_called_outside_its_module():
         if not any(name in names for path, names in calls.items() if path != module):
             uncalled.append(f"{module.name}:{name}")
     assert not uncalled, f"exported functions nothing outside their module calls: {uncalled}"
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    # a re-export from __init__.py is not a use, and neither is a
+    # definition reading its own name
+    sources = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    trees = {path: parse(path) for path in sources}
+    reads = [
+        (stmt, used_names(stmt, attributes=True))
+        for path, tree in trees.items()
+        if path != PACKAGE / "__init__.py"
+        for stmt in tree.body
+    ]
+    unread = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in names for stmt, names in reads if stmt is not node)
+    ]
+    assert not unread, f"public definitions only tests read: {unread}"
