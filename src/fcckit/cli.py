@@ -351,7 +351,9 @@ def _grid_rows(
                         nodes = result.nodes
                     except BudgetExceeded as exc:
                         exact_r = None
-                        nodes = exc.details.get("nodes", spec.node_budget)
+                        # a search refused before any work would have
+                        # passed the budget: budget + 1, as a cut search reports
+                        nodes = exc.details.get("nodes", spec.node_budget + 1)
                     seconds = (timer() - start) if timer else 0.0
                     try:
                         eq2: float | None = bounds_mod.upper_bound_binary(k, t)

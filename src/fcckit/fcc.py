@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from operator import ne, xor
 from typing import Iterable, Sequence
 
@@ -54,110 +55,210 @@ from .vectors import (
     weight_table,
 )
 
-@dataclass(frozen=True)
 class FunctionTable:
-    """Explicit f: F_q^k -> labels, indexed by lexicographic message rank.
+    """f: F_q^k -> labels, indexed by lexicographic message rank.
 
-    ``values`` is stored as ``bytes``, one byte per label, whenever every
-    label is an int in 0..255, and as a tuple of ints otherwise, so tables
-    given as a tuple, a list or bytes compare and hash equal.  Readers
-    index, iterate, count or take a set of the labels, which gives ints
-    either way.
+    A table given by its labels, ``FunctionTable(q, k, values)``, stores
+    them as ``bytes``, one byte per label, whenever every label is an int
+    in 0..255, and as a tuple of ints otherwise, so tables given as a
+    tuple, a list or bytes compare and hash equal.  A built-in
+    (``builtin_function``) keeps its rule instead: ``label``,
+    ``label_counts`` and ``image_size`` are closed forms, O(k) work per
+    label, and ``values`` is built on its first read by the whole-table
+    kernels, for the paths that need every label (the search, the
+    bitset-row verify, the critical-pair scan and function files).
+    Equality and hash are by labels either way.  Readers index, iterate,
+    count or take a set of ``values``, which gives ints either way.
     """
 
-    q: int
-    k: int
-    values: bytes | tuple[int, ...]
+    __slots__ = ("q", "k", "_values", "_rule")
 
-    def __post_init__(self):
-        prime_power_split(self.q)
-        if self.k < 1:
-            raise DimensionError(f"k must be at least 1, got {self.k}")
-        expected = self.q**self.k
-        if len(self.values) != expected:
+    def __init__(self, q: int, k: int, values: Sequence[int]):
+        _check_space(q, k)
+        expected = q**k
+        if len(values) != expected:
             raise DimensionError(
-                f"function table has {len(self.values)} entries, expected {expected}"
+                f"function table has {len(values)} entries, expected {expected}"
             )
-        try:
-            # one pass stores the labels and checks that each is in 0..255
-            values = bytes(self.values)
-        except (TypeError, ValueError):
-            values = tuple(self.values)
-            if min(values) < 0:
-                raise DimensionError("function labels must be non-negative integers")
-        object.__setattr__(self, "values", values)
+        self.q, self.k, self._rule = q, k, None
+        self._values = _label_store(values)
+        if type(self._values) is tuple and min(self._values) < 0:
+            raise DimensionError("function labels must be non-negative integers")
+
+    @property
+    def values(self) -> bytes | tuple[int, ...]:
+        if self._values is None:
+            self._values = _label_store(self._rule.table())
+        return self._values
+
+    def label_counts(self) -> dict[int, int]:
+        """The number of messages with each label."""
+        if self._rule is not None:
+            return self._rule.counts()
+        return Counter(self._values)
 
     @property
     def image_size(self) -> int:
-        return len(set(self.values))
+        rule = self._rule
+        if rule is not None and rule.name == "identity":
+            # q^k labels: no per-label count is needed to say so
+            return self.q**self.k
+        return len(self.label_counts())
 
     def label(self, u: Sequence[int]) -> int:
-        check_vector(u, self.q, self.k, "message")
-        return self.values[message_rank(u, self.q)]
+        u = check_vector(u, self.q, self.k, "message")
+        if self._rule is not None:
+            return self._rule.label(u)
+        return self._values[message_rank(u, self.q)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FunctionTable):
+            return NotImplemented
+        return (self.q, self.k, self.values) == (other.q, other.k, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.k, self.values))
+
+    def __repr__(self) -> str:
+        if self._rule is not None:
+            rule = self._rule
+            return f"builtin_function({rule.name!r}, {self.q}, {self.k}, {rule.aux!r})"
+        return f"FunctionTable(q={self.q}, k={self.k}, values={self._values!r})"
+
+
+def _check_space(q: int, k: int) -> None:
+    prime_power_split(q)
+    if k < 1:
+        raise DimensionError(f"k must be at least 1, got {k}")
+
+
+def _label_store(values: Iterable[int]) -> bytes | tuple[int, ...]:
+    """The labels as bytes when every one is an int in 0..255 (one pass
+    stores and checks them), else as a tuple."""
+    try:
+        return bytes(values)
+    except (TypeError, ValueError):
+        return tuple(values)
 
 
 BUILTIN_NAMES = ("or", "constant", "identity", "hamming_weight", "linear", "threshold")
 
 
-def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
-    """Named function families over F_q^k.
+@dataclass(frozen=True, slots=True)
+class _Rule:
+    """A built-in family over F_q^k in closed form.  ``aux`` is the
+    coefficient tuple of ``linear``, the integer theta of ``threshold``
+    and None for the other families."""
 
-    ``linear`` takes a length-k coefficient vector as aux and labels each
-    message by the field index of the dot product; ``threshold`` takes an
-    integer aux and indicates Hamming weight >= aux.  The other families
-    take no aux, and one given to them is rejected.  ``hamming_weight``,
-    ``threshold`` and ``linear`` build their tables as bytes, one digit at
-    a time, by ``bytes.translate``: the messages with leading digit d are
-    rank block d, each the table over k - 1 symbols with d's term added.
-    ``linear`` over q > 256, whose labels need not fit in a byte, does the
-    same by whole-table maps over a list.
-    """
-    prime_power_split(q)
-    if k < 1:
-        raise DimensionError(f"k must be at least 1, got {k}")
-    if aux is not None and name in ("or", "constant", "identity", "hamming_weight"):
-        raise DimensionError(f"{name} takes no aux")
-    total = q**k
-    if name == "or":
-        values = b"\0" + b"\1" * (total - 1)
-    elif name == "constant":
-        values = bytes(total)
-    elif name == "identity":
-        values = range(total)
-    elif name == "hamming_weight":
-        values = weight_table(q, k)
-    elif name == "linear":
-        if aux is None or len(tuple(aux)) != k:
-            raise DimensionError(f"linear needs a length-{k} coefficient vector as aux")
-        coeffs = check_vector(tuple(aux), q, k, "coefficient vector")
+    name: str
+    q: int
+    k: int
+    aux: tuple[int, ...] | int | None
+
+    def label(self, u: tuple[int, ...]) -> int:
+        name = self.name
+        if name == "identity":
+            return message_rank(u, self.q)
+        if name == "linear":
+            f = Field(self.q)
+            acc = 0
+            for a, x in zip(self.aux, u):
+                acc = f.add(acc, f.mul(a, x))
+            return acc
+        weight = self.k - u.count(0)
+        if name == "hamming_weight":
+            return weight
+        if name == "threshold":
+            return int(weight >= self.aux)
+        return int(weight > 0) if name == "or" else 0
+
+    def counts(self) -> dict[int, int]:
+        """Messages per label: C(k, w) (q-1)^w of weight w, and q^(k-1)
+        per field element for a nonzero linear form, which is onto."""
+        q, k, name = self.q, self.k, self.name
+        total = q**k
+        if name == "identity":
+            return dict.fromkeys(range(total), 1)
+        if name == "linear":
+            return dict.fromkeys(range(q), total // q) if any(self.aux) else {0: total}
+        shells = [comb(k, w) * (q - 1) ** w for w in range(k + 1)]
+        if name == "hamming_weight":
+            return dict(enumerate(shells))
+        if name == "threshold":
+            below = sum(shells[: max(self.aux, 0)])
+        else:
+            below = 1 if name == "or" else total
+        return {v: c for v, c in ((0, below), (1, total - below)) if c}
+
+    def table(self) -> Iterable[int]:
+        """Every label in rank order, a whole table at a time.
+        ``hamming_weight``, ``threshold`` and ``linear`` are built as
+        bytes, one digit at a time, by ``bytes.translate``: the messages
+        with leading digit d are rank block d, each the table over k - 1
+        symbols with d's term added.  ``linear`` over q > 256, whose labels
+        need not fit in a byte, does the same by whole-table maps over a
+        list."""
+        q, k, name = self.q, self.k, self.name
+        total = q**k
+        if name == "or":
+            return b"\0" + b"\1" * (total - 1)
+        if name == "constant":
+            return bytes(total)
+        if name == "identity":
+            return range(total)
+        if name == "hamming_weight":
+            return weight_table(q, k)
+        if name == "threshold":
+            # weight w -> 1 exactly when w >= theta
+            c = min(max(self.aux, 0), 256)
+            return weight_table(q, k).translate(bytes(c) + b"\1" * (256 - c))
         f = Field(q)
         # prepend one digit d to every message: the dot product v becomes
         # shift[v] = v + a*d
         shifts = [
-            [[f.add(v, f.mul(a, d)) for v in range(q)] for d in range(q)] for a in coeffs
+            [[f.add(v, f.mul(a, d)) for v in range(q)] for d in range(q)] for a in self.aux
         ]
         if q <= 256:
             # labels are field indices below q: each block is one translate
             values = b"\0"
             for rows in reversed(shifts):
                 values = b"".join(values.translate(bytes(row) + bytes(256 - q)) for row in rows)
-        else:
-            values = [0]
-            for rows in reversed(shifts):
-                blocks = []
-                for row in rows:
-                    blocks += map(row.__getitem__, values)
-                values = blocks
+            return values
+        values = [0]
+        for rows in reversed(shifts):
+            blocks = []
+            for row in rows:
+                blocks += map(row.__getitem__, values)
+            values = blocks
+        return values
+
+
+def builtin_function(name: str, q: int, k: int, aux=None) -> FunctionTable:
+    """Named function families over F_q^k, each kept as its rule.
+
+    ``linear`` takes a length-k coefficient vector as aux and labels each
+    message by the field index of the dot product; ``threshold`` takes an
+    integer aux and indicates Hamming weight >= aux.  The other families
+    take no aux, and one given to them is rejected.  No table is built
+    here: labels and label counts come from the rule, and ``values`` is
+    built on its first read (see ``FunctionTable``).
+    """
+    _check_space(q, k)
+    if name not in BUILTIN_NAMES:
+        raise UnknownFunction(f"no built-in function named {name!r}")
+    if aux is not None and name in ("or", "constant", "identity", "hamming_weight"):
+        raise DimensionError(f"{name} takes no aux")
+    if name == "linear":
+        if aux is None or len(tuple(aux)) != k:
+            raise DimensionError(f"linear needs a length-{k} coefficient vector as aux")
+        aux = check_vector(tuple(aux), q, k, "coefficient vector")
     elif name == "threshold":
         if aux is None or isinstance(aux, (tuple, list)) and len(aux) != 1:
             raise DimensionError("threshold needs a single integer aux")
-        theta = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
-        # weight w -> 1 exactly when w >= theta
-        c = min(max(theta, 0), 256)
-        values = weight_table(q, k).translate(bytes(c) + b"\1" * (256 - c))
-    else:
-        raise UnknownFunction(f"no built-in function named {name!r}")
-    return FunctionTable(q=q, k=k, values=values)
+        aux = int(aux[0]) if isinstance(aux, (tuple, list)) else int(aux)
+    f = FunctionTable.__new__(FunctionTable)
+    f.q, f.k, f._values, f._rule = q, k, None, _Rule(name, q, k, aux)
+    return f
 
 
 class FccScheme:
@@ -290,7 +391,8 @@ def verify_fcc(
     # q^k-codeword gate from refusing with a different message
     if scheme.kind == "linear" and min_distance(scheme.generator, budget=total) >= need:
         # d(c(u), c(v)) = wt(c(v - u)) >= need for every pair
-        differing = (total * total - sum(c * c for c in Counter(f.values).values())) // 2
+        counts = f.label_counts().values()
+        differing = (total * total - sum(c * c for c in counts)) // 2
         return VerificationResult(
             ok=True, violating_pair=None, distance=None, pairs_checked=differing
         )
@@ -431,7 +533,7 @@ def fcc_decode(
             unit="codewords",
         )
     head, tail = y[:k], y[k:]
-    best_d, best_rank = scheme.n + 1, 0
+    best_d, best_rank, best_u = scheme.n + 1, 0, head
     for s in range(k + 1):
         for u in messages_at_distance(head, q, s):
             # the message part of (u, p(u)) differs from y in exactly s places
@@ -439,7 +541,7 @@ def fcc_decode(
             if d <= best_d:
                 rank = message_rank(u, q)
                 if d < best_d or rank < best_rank:
-                    best_d, best_rank = d, rank
+                    best_d, best_rank, best_u = d, rank, u
         if best_d <= s:
             break
     within = best_d <= t
@@ -447,7 +549,7 @@ def fcc_decode(
         raise BeyondRadius(
             f"nearest codeword at distance {best_d} > t = {t}", distance=best_d
         )
-    return DecodeOutcome(label=f.values[best_rank], distance=best_d, within_radius=within)
+    return DecodeOutcome(label=f.label(best_u), distance=best_d, within_radius=within)
 
 
 def find_critical_pair(

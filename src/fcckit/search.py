@@ -116,12 +116,21 @@ def exact_redundancy(
     and the search takes them in rank order.  A node is one candidate
     parity tried at one message, whether it is taken or ruled out by that
     AND; exceeding the node budget raises BudgetExceeded carrying the
-    bounds proven so far.
+    bounds proven so far.  A search that finishes takes at least one node
+    at each message after the first, so one with more than budget + 1
+    messages is refused before any work, with the unit "nodes".
     """
     check_radius(t)
-    reqs = RequirementSet.build(f, t)
     q = f.q
     total = q**f.k
+    if total - 1 > budget:
+        raise BudgetExceeded(
+            f"redundancy search needs at least {total - 1} nodes, budget is {budget}",
+            required=total - 1,
+            budget=budget,
+            unit="nodes",
+        )
+    reqs = RequirementSet.build(f, t)
     demands = reqs.demands
     nodes = 0
     infeasible: list[int] = []

@@ -1,5 +1,10 @@
 """Command-line behavior: flows, file formats, exit codes, grid CSV."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fcckit.cli import (
@@ -21,6 +26,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE_CAP = 512 * 2**20
+
+
+def run_capped(*argv):
+    """The CLI in a child process whose address space the child caps at
+    512 MiB, so a command that builds a q^k table ends in MemoryError
+    there instead of exhausting the test host."""
+    code = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({ADDRESS_SPACE_CAP}, {ADDRESS_SPACE_CAP}))\n"
+        "from fcckit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestConstructEncodeDecode:
@@ -171,6 +201,51 @@ class TestVerifySearch:
         assert code == EXIT_OK
 
 
+class TestLargeK:
+    """Built-in functions at k = 60 build no 2^60 table: each command
+    reaches its own budget gate and exits 3 with one line."""
+
+    @pytest.fixture(scope="class")
+    def bch60(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bch60") / "bch60.scheme"
+        code, out, err = run_capped(
+            "construct", "bch", "--k", "60", "--t", "3", "--out", str(path)
+        )
+        assert (code, err) == (EXIT_OK, "")
+        return path, 60 + int(out.split("r=")[1])
+
+    @pytest.mark.parametrize(
+        "command, unit",
+        [("verify", "message pairs"), ("decode", "codewords"), ("simulate", "codewords"),
+         ("search", "nodes")],
+    )
+    def test_builtin_at_k60_exits_3_with_one_line(self, bch60, command, unit):
+        path, n = bch60
+        argv = [command, "--function", "hamming_weight", "--q", "2", "--k", "60", "--t", "3"]
+        if command != "search":
+            argv += ["--in", str(path)]
+        if command == "decode":
+            argv += ["0"] * n
+        code, out, err = run_capped(*argv)
+        assert (code, out) == (EXIT_BUDGET, ""), err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert unit in err
+
+    def test_grid_at_k60_writes_budget_rows(self):
+        # the rows' lower_2t comes from the rule's image size, 2^60 labels
+        # for identity, and each search is refused before it starts
+        code, out, err = run_capped(
+            "grid", "--q", "2", "--k", "60", "--t", "3",
+            "--functions", "identity", "hamming_weight", "--no-timing",
+        )
+        assert (code, err) == (EXIT_OK, ""), err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(row[3], row[4], row[5], row[-2]) for row in rows] == [
+            ("identity", "budget", "6", "4194305"),
+            ("hamming_weight", "budget", "6", "4194305"),
+        ]
+
+
 class TestBoundsSimulate:
     def test_bounds_text(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "2", "--k", "16", "--t", "2")
@@ -317,6 +392,19 @@ class TestGrid:
         lines = out.strip().split("\n")
         assert len(lines) == 3
         assert any(",budget," in line for line in lines)
+
+    def test_search_refused_before_any_work_keeps_its_row(self, capsys):
+        # 7 messages after the first need 7 nodes, over the budget of 5:
+        # the row reads budget and budget + 1 nodes, as a cut search's does
+        code, out, _ = run(
+            capsys, "grid", "--q", "2", "--k", "3", "--t", "1",
+            "--functions", "identity", "or", "--budget", "5", "--no-timing",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1:] == [
+            "2,3,1,identity,budget,2,4.979684587,3,false,6,0.000",
+            "2,3,1,or,budget,2,4.979684587,3,false,6,0.000",
+        ]
 
     def test_rows_satisfy_proposition_invariant(self):
         spec = GridSpec(qs=(2, 3), ks=(2, 3), ts=(1,), functions=("or", "identity"))

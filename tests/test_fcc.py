@@ -1,9 +1,12 @@
 """Function tables, scheme encoding, the verifier, the decoder, and the
 critical-pair scan."""
 
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
+from collections import Counter
 from operator import ne
 
 import pytest
@@ -33,6 +36,7 @@ from fcckit.fcc import (
     find_critical_pair,
     verify_fcc,
 )
+from fcckit.formats import parse_function_file, serialize_function_file
 from fcckit.gf import Field
 from fcckit.vectors import (
     check_vector,
@@ -103,28 +107,33 @@ class TestBuiltinFunctions:
             FunctionTable(2, 2, (0, 1, 1))
 
 
-def loop_builtin_function(name, q, k, aux=None):
-    """Oracle: the function table built by one Python loop per message."""
-    messages = iter_messages(q, k)
+def reference_label(name, q, u, aux=None):
+    """Oracle: one built-in label from its definition, by one Python loop
+    over the message."""
     if name == "or":
-        return tuple(0 if all(x == 0 for x in u) else 1 for u in messages)
+        return 0 if all(x == 0 for x in u) else 1
     if name == "constant":
-        return (0,) * q**k
+        return 0
     if name == "identity":
-        return tuple(range(q**k))
+        rank = 0
+        for x in u:
+            rank = rank * q + x
+        return rank
     if name == "hamming_weight":
-        return tuple(hamming_weight(u) for u in messages)
+        return hamming_weight(u)
     if name == "linear":
         f = Field(q)
-        values = []
-        for u in messages:
-            acc = 0
-            for a, x in zip(aux, u):
-                acc = f.add(acc, f.mul(a, x))
-            values.append(acc)
-        return tuple(values)
+        acc = 0
+        for a, x in zip(aux, u):
+            acc = f.add(acc, f.mul(a, x))
+        return acc
     theta = aux[0] if isinstance(aux, tuple) else aux
-    return tuple(1 if hamming_weight(u) >= theta else 0 for u in messages)
+    return 1 if hamming_weight(u) >= theta else 0
+
+
+def loop_builtin_function(name, q, k, aux=None):
+    """Oracle: the function table built by one reference label per message."""
+    return tuple(reference_label(name, q, u, aux) for u in iter_messages(q, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,6 +194,76 @@ def test_linear_past_256_symbols_matches_per_message_loop():
         f = builtin_function("linear", 257, 2, aux)
         assert tuple(f.values) == loop_builtin_function("linear", 257, 2, aux), aux
         assert type(f.values) is (tuple if max(f.values) > 255 else bytes)
+
+
+# sha256 over every built-in table of ``builtin_cases`` with q^k <= 4096,
+# as (name, k, aux, store type, labels), taken from the whole-table
+# kernels before built-ins kept their rule
+TABLE_DIGESTS = {
+    2: "469d9da5cace8d4c386b68f89d27adf81ffa0ecca6967256ae8a1c03340fe868",
+    3: "67ab43ce040a3af0dac451141de22bef62672fb1f7ca5fc63ab633c79314edcc",
+    4: "85ab3944a666b92038a5e090596226bede984cb09971eb429f280f95b6203543",
+    5: "aee69e70150ff03ed4b376e5925654b88fdd9326cba161aa0e70d06c38bf958d",
+    7: "9df16a782e1fd35f980c573a2b015febe59304bf5eeeb8f6ddc2a96c30aa7b5e",
+    8: "0e94e52062d3742bf93bf77d1688dfc5e4eefe72fb19d04b9d66f964e640d1af",
+    9: "3ce8684eed27afedd6e383aa323690840e66cd24f8b117a4927cd63f7605427a",
+    16: "fc6be952c8483c10b949f45076e4a662c394683837e3cb5066275948581660ba",
+    17: "21f55ec8aa4c5cd465e91ae7830d0419f3993a23eda52e9719ab96a8898798e7",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_rule_matches_table_on_every_small_cell(q):
+    # the rule's label at every rank, its label counts and image size
+    # against the table, without building the table; then the table built
+    # on first read against the kernels' digest, and a function-file round
+    # trip equal and hash-equal to the rule
+    digest = hashlib.sha256()
+    k = 1
+    while q**k <= 4096:
+        for name, aux in builtin_cases(q, k):
+            table = builtin_function(name, q, k, aux).values
+            f = builtin_function(name, q, k, aux)
+            assert [f.label(u) for u in iter_messages(q, k)] == list(table), (name, k, aux)
+            assert f.label_counts() == Counter(table), (name, k, aux)
+            assert f.image_size == len(set(table))
+            assert f._values is None
+            values = f.values
+            digest.update(repr((name, k, aux, type(values).__name__, tuple(values))).encode())
+            loaded = parse_function_file(serialize_function_file(builtin_function(name, q, k, aux)))
+            assert loaded == builtin_function(name, q, k, aux)
+            assert hash(loaded) == hash(builtin_function(name, q, k, aux))
+        k += 1
+    assert digest.hexdigest() == TABLE_DIGESTS[q]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from(sorted(TABLE_DIGESTS)),
+    k=st.integers(min_value=1, max_value=40),
+    name=st.sampled_from(BUILTIN_NAMES),
+    data=st.data(),
+)
+def test_rule_matches_reference_labels_at_large_k(q, k, name, data):
+    # messages sampled at k up to 40, far past any table: the labels
+    # against the per-message reference, and counts that cover F_q^k,
+    # with no table built
+    aux = None
+    if name == "linear":
+        aux = data.draw(st.tuples(*[st.integers(0, q - 1)] * k), label="coeffs")
+    elif name == "threshold":
+        aux = data.draw(st.integers(-1, k + 1), label="theta")
+    f = builtin_function(name, q, k, aux)
+    messages = st.tuples(*[st.integers(0, q - 1)] * k)
+    for u in data.draw(st.lists(messages, min_size=1, max_size=8), label="messages"):
+        assert f.label(u) == reference_label(name, q, u, aux)
+    if name != "identity" or k <= 4:
+        counts = f.label_counts()
+        assert sum(counts.values()) == q**k and min(counts.values()) > 0
+        assert f.image_size == len(counts)
+    else:
+        assert f.image_size == q**k
+    assert f._values is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -627,6 +706,32 @@ class TestDecode:
             assert s.encoded == hamming_ball_volume(4, weight, 17)
 
 
+def test_benchmark_decode_cells_hold_no_label_table():
+    # decode_channel's rs(9,5,2) identity and bch(15,2) hamming_weight
+    # cells, from the function's construction to decodes at error weights
+    # 0..t, stay under a small traced peak: the identity table alone is
+    # 59,049 ints
+    cells = [
+        (rs_systematic(9, 5, 2).scheme, "identity"),
+        (bch_systematic(15, 2).scheme, "hamming_weight"),
+    ]
+    rng = random.Random(26)
+    words = []
+    for s, name in cells:
+        for w in range(3):
+            u = unrank_message(rng.randrange(s.q**s.k), s.q, s.k)
+            words.append((s, name, u, inject(s.field, fcc_encode(s, u), w, seed=rng)))
+    tracemalloc.start()
+    try:
+        for s, name, u, y in words:
+            f = builtin_function(name, s.q, s.k)
+            assert fcc_decode(s, f, 2, y).label == reference_label(name, s.q, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
+
+
 def naive_critical_pair(f):
     """Oracle: sort every message by (weight, lex) and take the first
     message with a later distance-1 neighbour of another label."""
@@ -758,6 +863,33 @@ def test_linear_verify_matches_min_weight(data):
         assert verify_fcc(s, f, t).ok == (d >= 2 * t + 1), t
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_linear_pass_counts_pairs_from_the_rule(data):
+    # a passing linear scheme takes pairs_checked from the built-in's
+    # closed-form label counts, building no table, and agrees with the
+    # pair-by-pair oracle; prime, 2^m and odd p^m fields
+    q = data.draw(st.sampled_from(sorted(_MAX_K)), label="q")
+    k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]), label="k")
+    r = data.draw(st.integers(min_value=0, max_value=4), label="r")
+    symbol = st.integers(0, q - 1)
+    rows = [
+        tuple(1 if j == i else 0 for j in range(k)) + data.draw(st.tuples(*[symbol] * r))
+        for i in range(k)
+    ]
+    s = FccScheme.linear(GeneratorMatrix(Field(q), rows))
+    d = min(
+        hamming_weight(linear_encode(s.generator, u))
+        for u in itertools.islice(iter_messages(q, k), 1, None)
+    )
+    t = (d - 1) // 2
+    name, aux = data.draw(st.sampled_from(list(builtin_cases(q, k))), label="builtin")
+    f = builtin_function(name, q, k, aux)
+    result = verify_fcc(s, f, t)
+    assert result.ok and f._values is None
+    assert verdict(result) == pair_scan_verify(s, builtin_function(name, q, k, aux), t)
+
+
 def _pool_table_scheme(data, q, k, r):
     """A table scheme whose rows repeat a drawn pool of 1-3 parities, so
     equal rows and violations both occur."""
@@ -840,7 +972,9 @@ def full_scan_decode(scheme, f, y):
 def test_decode_matches_full_scan_oracle(data):
     # linear schemes over prime, 2^m and odd p^m fields, and table schemes
     # whose parity rows repeat, so that codewords tie; identity labels make
-    # the label the rank, so ties must go to the lowest rank
+    # the label the rank, so ties must go to the lowest rank.  A built-in
+    # is decoded from both label stores: its rule, and the same labels
+    # loaded from a function file
     q = data.draw(st.sampled_from(sorted(_MAX_K)))
     k = data.draw(st.integers(min_value=1, max_value=_MAX_K[q]))
     r = data.draw(st.integers(min_value=0, max_value=3))
@@ -854,29 +988,36 @@ def test_decode_matches_full_scan_oracle(data):
         pool = data.draw(st.lists(parity, min_size=1, max_size=3))
         rows = data.draw(st.lists(st.sampled_from(pool), min_size=total, max_size=total))
         s = CountingScheme.tabular(q, k, rows)
-    n_labels = data.draw(st.sampled_from([1, 2, 3, None]))
-    if n_labels is None:
-        values = tuple(range(total))
+    n_labels = data.draw(st.sampled_from([1, 2, 3, "identity", "builtin"]))
+    if n_labels in ("identity", "builtin"):
+        name, aux = "identity", None
+        if n_labels == "builtin":
+            name, aux = data.draw(st.sampled_from(list(builtin_cases(q, k))), label="builtin")
+        f = builtin_function(name, q, k, aux)
+        stores = [f, parse_function_file(serialize_function_file(builtin_function(name, q, k, aux)))]
     else:
         values = tuple(
             data.draw(st.lists(st.integers(0, n_labels - 1), min_size=total, max_size=total))
         )
-    f = FunctionTable(q, k, values)
+        stores = [FunctionTable(q, k, values)]
     u = unrank_message(data.draw(st.integers(0, total - 1)), q, k)
     weight = data.draw(st.integers(min_value=0, max_value=s.n))
     y = inject(s.field, fcc_encode(s, u), weight, seed=data.draw(st.integers(0, 2**32 - 1)))
-    label, d = full_scan_decode(s, f, y)
-    s.encoded = 0
-    out = fcc_decode(s, f, t, y, strict=False)
-    assert (out.label, out.distance, out.within_radius) == (label, d, d <= t)
-    # the rings stop at the nearest distance d: the messages within d of y[:k]
-    assert s.encoded == hamming_ball_volume(k, min(d, k), q)
-    if d <= t:
-        assert fcc_decode(s, f, t, y) == out
-    else:
-        with pytest.raises(BeyondRadius) as exc:
-            fcc_decode(s, f, t, y)
-        assert exc.value.distance == d
+    label, d = full_scan_decode(s, stores[-1], y)
+    for f in stores:
+        s.encoded = 0
+        out = fcc_decode(s, f, t, y, strict=False)
+        assert (out.label, out.distance, out.within_radius) == (label, d, d <= t)
+        # the rings stop at the nearest distance d: the messages within d of y[:k]
+        assert s.encoded == hamming_ball_volume(k, min(d, k), q)
+        if d <= t:
+            assert fcc_decode(s, f, t, y) == out
+        else:
+            with pytest.raises(BeyondRadius) as exc:
+                fcc_decode(s, f, t, y)
+            assert exc.value.distance == d
+    # the rule-backed store decoded without building its table
+    assert stores[0]._rule is None or stores[0]._values is None
 
 
 def _tied_table_scheme():

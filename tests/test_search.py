@@ -65,12 +65,22 @@ def _parity_metric(q: int, r: int):
     return lambda a, b: sum(1 for x, y in zip(digits[a], digits[b]) if x != y)
 
 
-def loop_search(f: FunctionTable, t: int, budget: int):
+def loop_search(f: FunctionTable, t: int, budget: int, gate: bool = True):
     """Oracle for exact_redundancy: the same depth-first search, checking
     each candidate parity against each demand by a distance call.  Returns
-    (r, witness, nodes, infeasible) or raises the same BudgetExceeded."""
-    order, demands, r = pairwise_requirements(f, t)
+    (r, witness, nodes, infeasible) or raises the same BudgetExceeded.
+    A search that finishes tries at least one candidate at each message
+    after the first, so more messages than budget + 1 are refused first
+    (unless ``gate`` is false)."""
     total = f.q**f.k
+    if gate and total - 1 > budget:
+        raise BudgetExceeded(
+            f"redundancy search needs at least {total - 1} nodes, budget is {budget}",
+            required=total - 1,
+            budget=budget,
+            unit="nodes",
+        )
+    order, demands, r = pairwise_requirements(f, t)
     nodes = 0
     infeasible = []
     while True:
@@ -253,6 +263,27 @@ def test_search_matches_per_candidate_loop(cell, budget):
     else:
         res = exact_redundancy(f, t, budget=budget)
         assert (res.r, res.witness, res.nodes, res.infeasible) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=search_cells(), data=st.data())
+def test_search_refused_up_front_only_when_it_would_exceed_the_budget(cell, data):
+    # the gate is exact: with fewer nodes than messages after the first,
+    # the search itself runs out of budget
+    f, t = cell
+    total = f.q**f.k
+    budget = data.draw(st.integers(0, 2 * total), label="budget")
+    if total - 1 > budget:
+        with pytest.raises(BudgetExceeded) as exc:
+            exact_redundancy(f, t, budget=budget)
+        assert exc.value.details == {"required": total - 1, "budget": budget, "unit": "nodes"}
+        with pytest.raises(BudgetExceeded):
+            loop_search(f, t, budget, gate=False)
+    else:
+        try:
+            assert exact_redundancy(f, t, budget=budget).nodes >= total - 1
+        except BudgetExceeded as exc:
+            assert exc.details["nodes"] == budget + 1
 
 
 def test_identity_3_3_2_exhausts_default_budget_at_r5():
