@@ -35,8 +35,8 @@ from .formats import (
     serialize_function_file,
     serialize_scheme_file,
 )
-from .gf import Field, minimal_poly
-from .search import RedundancySearchResult, RequirementSet, exact_redundancy
+from .gf import Field
+from .search import RedundancySearchResult, exact_redundancy
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "FunctionTable",
     "GeneratorMatrix",
     "RedundancySearchResult",
-    "RequirementSet",
     "VerificationResult",
     "bch_systematic",
     "builtin_function",
@@ -63,7 +62,6 @@ __all__ = [
     "lower_bound",
     "mds_equality",
     "min_distance",
-    "minimal_poly",
     "or_scheme",
     "parse_function_file",
     "parse_scheme_file",

@@ -3,8 +3,10 @@
 Logarithms are base 2 throughout.  Combinatorial sums use exact integer
 arithmetic; only the binary upper-bound formula is real-valued, and it
 is reported unrounded (plus a ceiling convenience) because the bound it
-states is strict.  The constructive BCH redundancy is counted from
-2-cyclotomic cosets, so no bound builds a field or a construction.
+states is strict.  The constructive BCH redundancy is counted from the
+2-cyclotomic cosets of ``bch_cosets``, the same root set
+``bch_systematic`` builds its generator from, so no bound builds a field
+or a construction.
 """
 
 from __future__ import annotations
@@ -50,27 +52,39 @@ def bch_extension_degree(k: int, t: int) -> int:
     return m
 
 
-def bch_redundancy(k: int, t: int) -> int:
-    """Redundancy of the shortened binary BCH code ``bch_systematic(k, t)``.
+def bch_cosets(k: int, t: int) -> list[tuple[int, ...]]:
+    """The roots of ``bch_systematic(k, t)``'s generator, as exponents of alpha.
 
-    Its generator is the product of the distinct minimal polynomials of
-    alpha^1..alpha^2t over GF(2^m), and the minimal polynomial of alpha^i
-    has one root per element of the 2-cyclotomic coset of i mod 2^m - 1
-    (MacWilliams-Sloane, ch. 7).  So the degree is the size of the union
-    of those cosets, counted without building GF(2^m).
+    These are the distinct 2-cyclotomic cosets mod 2^m - 1 met by
+    1..2t, with m from ``bch_extension_degree``; each is the orbit
+    i, 2i, 4i, ... of its least member i.  The minimal polynomial of
+    alpha^i over F_2 has exactly the roots alpha^j for j in the coset of i
+    (MacWilliams-Sloane, ch. 7), so each coset is one factor of the
+    generator.  No field is built.
     """
     if k < 1:
         raise DimensionError(f"k must be at least 1, got {k}")
     if t < 1:
         raise DimensionError(f"t must be at least 1, got {t}")
     n = 2 ** bch_extension_degree(k, t) - 1
-    roots: set[int] = set()
+    seen: set[int] = set()
+    cosets = []
     for i in range(1, 2 * t + 1):
-        j = i
-        while j not in roots:
-            roots.add(j)
-            j = 2 * j % n
-    return len(roots)
+        if i in seen:
+            continue
+        coset = [i]
+        # n is odd, so doubling permutes the residues and comes back to i
+        while (j := 2 * coset[-1] % n) != i:
+            coset.append(j)
+        seen.update(coset)
+        cosets.append(tuple(coset))
+    return cosets
+
+
+def bch_redundancy(k: int, t: int) -> int:
+    """Redundancy of the shortened binary BCH code ``bch_systematic(k, t)``:
+    the degree of its generator, one per root in ``bch_cosets(k, t)``."""
+    return sum(map(len, bch_cosets(k, t)))
 
 
 def hamming_ball_volume(n: int, t: int, q: int) -> int:

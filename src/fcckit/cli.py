@@ -351,9 +351,7 @@ def _grid_rows(
                         nodes = result.nodes
                     except BudgetExceeded as exc:
                         exact_r = None
-                        # a search refused before any work would have
-                        # passed the budget: budget + 1, as a cut search reports
-                        nodes = exc.details.get("nodes", spec.node_budget + 1)
+                        nodes = exc.details.get("nodes", 0)
                     seconds = (timer() - start) if timer else 0.0
                     try:
                         eq2: float | None = bounds_mod.upper_bound_binary(k, t)

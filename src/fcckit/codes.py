@@ -151,15 +151,6 @@ class Lanes:
             x = x << width | spread[e]
         return x
 
-    def unpack(self, x: int) -> tuple[int, ...]:
-        p, m, lane = self.p, self.m, self.lane
-        mask = (1 << lane) - 1
-        digits = [(x >> i * lane) & mask for i in range(m * self.n)]
-        return tuple(
-            sum(c * p**i for i, c in enumerate(digits[j * m : (j + 1) * m]))
-            for j in range(self.n)
-        )
-
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b

@@ -3,9 +3,10 @@
 Three families: a systematic MDS (Reed-Solomon) code for fields with
 q >= k + 2t (redundancy exactly 2t, the optimum), a shortened
 narrow-sense binary BCH code (redundancy at most m * t, where 2^m - 1 is
-the unshortened length), and the two-valued parity scheme that protects
-the nonzero-message indicator with the bare-minimum 2t redundancy at any
-alphabet size.
+the unshortened length; its generator is built from the 2-cyclotomic
+cosets that ``bounds`` counts), and the two-valued parity scheme that
+protects the nonzero-message indicator with the bare-minimum 2t
+redundancy at any alphabet size.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from functools import cached_property, reduce
 from operator import xor
 
 from . import defaults
-from .bounds import bch_extension_degree
+from .bounds import bch_cosets, bch_extension_degree
 from .codes import GeneratorMatrix
 from .errors import BudgetExceeded, DimensionError, FieldTooSmall
 from .fcc import FccScheme
-from .gf import Field, minimal_poly
+from .gf import Field
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -93,9 +94,10 @@ def bch_systematic(k: int, t: int) -> ConstructionReport:
 
     Takes the smallest m with 2^m - 1 >= k + m*t, builds the narrow-sense
     generator g = lcm of the minimal polynomials of alpha^1..alpha^2t over
-    GF(2^m), and shortens the length-(2^m - 1) cyclic code to k message
-    positions.  Parity of u is -(u(x) * x^r mod g) with r = deg g, so the
-    codeword layout stays (message, parity).
+    GF(2^m), one per 2-cyclotomic coset of ``bounds.bch_cosets``, and
+    shortens the length-(2^m - 1) cyclic code to k message positions.
+    Parity of u is -(u(x) * x^r mod g) with r = deg g, so the codeword
+    layout stays (message, parity).
     """
     _check_kt(k, t)
     m = bch_extension_degree(k, t)
@@ -109,10 +111,16 @@ def bch_systematic(k: int, t: int) -> ConstructionReport:
         )
     ext = Field(2**m)
     alpha = ext.primitive_element()
-    # g as an F_2 bit mask, bit j for x^j; each minimal polynomial is
-    # multiplied in by a carry-less shift-and-XOR product.
+    # g as an F_2 bit mask, bit j for x^j.  Each coset's minimal
+    # polynomial prod (x + alpha^j) is expanded over GF(2^m), where its
+    # coefficients come out 0 or 1, and multiplied into g by a carry-less
+    # shift-and-XOR product.
     g_mask = 1
-    for mp in {minimal_poly(ext, ext.pow(alpha, i)) for i in range(1, 2 * t + 1)}:
+    for coset in bch_cosets(k, t):
+        mp = [1]
+        for j in coset:
+            root = ext.pow(alpha, j)
+            mp = [a ^ ext.mul(root, b) for a, b in zip([0, *mp], [*mp, 0])]
         g_mask = reduce(xor, (g_mask << j for j, c in enumerate(mp) if c))
     r = g_mask.bit_length() - 1
     # Row i's parity is x^(r+i) mod g (over F_2, -1 = 1), as a bit mask.

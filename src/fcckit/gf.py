@@ -24,25 +24,11 @@ from typing import Iterable, Sequence
 from .errors import DimensionError, DivisionByZero, FieldMismatch, InvalidOrder
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power_split(q: int) -> tuple[int, int]:
     """Return (p, m) with q = p**m, or raise InvalidOrder."""
     if q < 2:
         raise InvalidOrder(f"field order must be at least 2, got {q}")
+    # p, the least divisor of q above 1, is prime
     p = q
     for d in range(2, q + 1):
         if d * d > q:
@@ -55,7 +41,7 @@ def prime_power_split(q: int) -> tuple[int, int]:
     while rest % p == 0:
         rest //= p
         m += 1
-    if rest != 1 or not is_prime(p):
+    if rest != 1:
         raise InvalidOrder(f"{q} is not a prime power")
     return p, m
 
@@ -329,38 +315,3 @@ def canonical_modulus(p: int, m: int) -> tuple[int, ...]:
             return tuple(coeffs)
     raise InvalidOrder(f"no irreducible polynomial of degree {m} over F_{p}")  # pragma: no cover
 
-
-def minimal_poly(field: Field, beta: int) -> tuple[int, ...]:
-    """Monic polynomial over F_p of least degree vanishing at beta, as its
-    coefficients in F_p, lowest degree first (the last one is 1).
-
-    Found as the first linear dependency among the powers 1, beta,
-    beta^2, ... viewed as F_p-coordinate vectors, so the result is
-    independent of any conjugacy-orbit bookkeeping.
-    """
-    field.check(beta)
-    p, m = field.p, field.m
-    # Row-reduced basis of the span of lower powers, with the combination
-    # of original powers that produced each reduced row.
-    basis: list[tuple[list[int], list[int], int]] = []  # (vector, combo, pivot)
-    power = 1
-    for j in range(m + 1):
-        vec = list(field.coeffs(power))
-        combo = [0] * (m + 1)
-        combo[j] = 1
-        for row_vec, row_combo, pivot in basis:
-            c = vec[pivot]
-            if c:
-                for i in range(m):
-                    vec[i] = (vec[i] - c * row_vec[i]) % p
-                for i in range(m + 1):
-                    combo[i] = (combo[i] - c * row_combo[i]) % p
-        pivot = next((i for i, c in enumerate(vec) if c), None)
-        if pivot is None:
-            return tuple(combo[: j + 1])
-        inv = pow(vec[pivot], p - 2, p)
-        vec = [(c * inv) % p for c in vec]
-        combo = [(c * inv) % p for c in combo]
-        basis.append((vec, combo, pivot))
-        power = field.mul(power, beta)
-    raise AssertionError("powers of beta cannot be independent beyond degree m")  # pragma: no cover

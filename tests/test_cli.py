@@ -233,7 +233,7 @@ class TestLargeK:
 
     def test_grid_at_k60_writes_budget_rows(self):
         # the rows' lower_2t comes from the rule's image size, 2^60 labels
-        # for identity, and each search is refused before it starts
+        # for identity, and each search is refused before it tries a node
         code, out, err = run_capped(
             "grid", "--q", "2", "--k", "60", "--t", "3",
             "--functions", "identity", "hamming_weight", "--no-timing",
@@ -241,8 +241,8 @@ class TestLargeK:
         assert (code, err) == (EXIT_OK, ""), err
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(row[3], row[4], row[5], row[-2]) for row in rows] == [
-            ("identity", "budget", "6", "4194305"),
-            ("hamming_weight", "budget", "6", "4194305"),
+            ("identity", "budget", "6", "0"),
+            ("hamming_weight", "budget", "6", "0"),
         ]
 
 
@@ -395,15 +395,15 @@ class TestGrid:
 
     def test_search_refused_before_any_work_keeps_its_row(self, capsys):
         # 7 messages after the first need 7 nodes, over the budget of 5:
-        # the row reads budget and budget + 1 nodes, as a cut search's does
+        # the row reads budget and the 0 nodes the refused search tried
         code, out, _ = run(
             capsys, "grid", "--q", "2", "--k", "3", "--t", "1",
             "--functions", "identity", "or", "--budget", "5", "--no-timing",
         )
         assert code == EXIT_OK
         assert out.splitlines()[1:] == [
-            "2,3,1,identity,budget,2,4.979684587,3,false,6,0.000",
-            "2,3,1,or,budget,2,4.979684587,3,false,6,0.000",
+            "2,3,1,identity,budget,2,4.979684587,3,false,0,0.000",
+            "2,3,1,or,budget,2,4.979684587,3,false,0,0.000",
         ]
 
     def test_rows_satisfy_proposition_invariant(self):

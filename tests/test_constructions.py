@@ -1,19 +1,25 @@
 """The three encoders: systematic MDS, shortened binary BCH, OR-indicator."""
 
+import hashlib
+
 import pytest
 
+from fcckit.bounds import bch_redundancy
 from fcckit.codes import min_distance
 from fcckit.constructions import bch_systematic, or_scheme, rs_systematic
 from fcckit.errors import BudgetExceeded, DimensionError, FieldTooSmall, InvalidOrder
 from fcckit.fcc import builtin_function, fcc_decode, fcc_encode, verify_fcc
-from fcckit.gf import Field, minimal_poly, prime_power_split
+from fcckit.gf import Field, prime_power_split
 from fcckit.vectors import hamming_distance, iter_messages
+from test_gf import minimal_poly
 
 
 # Every prime power q <= 27 (prime, 2^m, and odd p^m up to 3^3), with
 # every k, t >= 1 such that q >= k + 2t: 740 cells in about 1 s.
 RS_ORACLE_MAX_Q = 27
 RS_ORACLE_CELLS = 740
+
+BCH_SWEEP_SHA256 = "0f03f3b6722b94d5bc2a67844f4a142a8b7b09c1175a7a1accc11847712804f8"
 
 
 def bch_extension_degree(k: int, t: int) -> int:
@@ -28,8 +34,9 @@ def division_bch_rows(k: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Oracle: the rows [e_i | x^(r+i) mod g] of bch_systematic, each
     remainder by its own long division over F_2 (polynomials as bit masks,
     bit j for x^j), with g the product of the distinct minimal polynomials
-    of alpha^1..alpha^2t, multiplied as coefficient tuples by the
-    schoolbook product over F_2."""
+    of alpha^1..alpha^2t, each found by the linear-dependency solver of
+    ``test_gf``, multiplied as coefficient tuples by the schoolbook
+    product over F_2."""
     ext = Field(2 ** bch_extension_degree(k, t))
     alpha = ext.primitive_element()
     g = (1,)
@@ -184,6 +191,19 @@ class TestBchSystematic:
                     rep = bch_systematic(k, t)
                     assert rep.generator.rows == division_bch_rows(k, t), (k, t)
                     assert rep.r == rep.n - k == len(rep.generator.rows[0]) - k
+
+    def test_rows_match_the_pinned_sweep(self):
+        # every k <= 300 at t <= 4, plus (1000, 5): the digest of the rows
+        # the minimal-polynomial solver built, before the cosets did
+        digest = hashlib.sha256()
+        for k, t in [(k, t) for t in range(1, 5) for k in range(1, 301)] + [(1000, 5)]:
+            digest.update(repr(bch_systematic(k, t).generator.rows).encode())
+        assert digest.hexdigest() == BCH_SWEEP_SHA256
+
+    @pytest.mark.parametrize("k,t", [(200, 30), (1000, 50)])
+    def test_redundancy_is_the_coset_count_at_large_t(self, k, t):
+        rep = bch_systematic(k, t)
+        assert rep.r == bch_redundancy(k, t) == rep.n - k
 
     @pytest.mark.parametrize("k,t", [(1, 1), (4, 1), (7, 1), (5, 2), (3, 2), (2, 3)])
     def test_redundancy_within_mt_and_distance_designed(self, k, t):

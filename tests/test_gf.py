@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import fcckit.gf
 from fcckit.errors import DivisionByZero, FieldMismatch, InvalidOrder
-from fcckit.gf import Field, canonical_modulus, minimal_poly, prime_power_split
+from fcckit.gf import Field, canonical_modulus, prime_power_split
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +51,30 @@ class TestFieldMake:
             Field(12)
         with pytest.raises(InvalidOrder):
             Field(1)
+
+    def test_prime_power_split_matches_a_sieve(self):
+        # every q < 2^16 is accepted with (p, m) exactly when the sieve of
+        # Eratosthenes lists it as a power p^m of a prime p
+        limit = 1 << 16
+        composite = bytearray(limit)
+        powers = {}
+        for p in range(2, limit):
+            if not composite[p]:
+                composite[p * p :: p] = b"\1" * len(range(p * p, limit, p))
+                m, pm = 1, p
+                while pm < limit:
+                    powers[pm] = (p, m)
+                    m, pm = m + 1, pm * p
+        for q in range(limit):
+            try:
+                got = prime_power_split(q)
+            except InvalidOrder as exc:
+                if q < 2:
+                    assert str(exc) == f"field order must be at least 2, got {q}"
+                else:
+                    assert str(exc) == f"{q} is not a prime power"
+                got = None
+            assert got == powers.get(q), q
 
     def test_canonical_moduli_reproduce_familiar_tables(self):
         assert Field(8).modulus == (1, 1, 0, 1)  # x^3 + x + 1
@@ -251,6 +275,43 @@ def _orbit_product(field: Field, beta: int) -> tuple[int, ...]:
             nxt[i] = field.add(nxt[i], field.mul(field.neg(root), c))
         coeffs = nxt
     return tuple(coeffs)
+
+
+def minimal_poly(field: Field, beta: int) -> tuple[int, ...]:
+    """Oracle: the monic polynomial over F_p of least degree vanishing at
+    beta, as its coefficients in F_p, lowest degree first (the last one
+    is 1).
+
+    Found as the first linear dependency among the powers 1, beta,
+    beta^2, ... viewed as F_p-coordinate vectors, so the result is
+    independent of any conjugacy-orbit bookkeeping.
+    """
+    field.check(beta)
+    p, m = field.p, field.m
+    # Row-reduced basis of the span of lower powers, with the combination
+    # of original powers that produced each reduced row.
+    basis: list[tuple[list[int], list[int], int]] = []  # (vector, combo, pivot)
+    power = 1
+    for j in range(m + 1):
+        vec = list(field.coeffs(power))
+        combo = [0] * (m + 1)
+        combo[j] = 1
+        for row_vec, row_combo, pivot in basis:
+            c = vec[pivot]
+            if c:
+                for i in range(m):
+                    vec[i] = (vec[i] - c * row_vec[i]) % p
+                for i in range(m + 1):
+                    combo[i] = (combo[i] - c * row_combo[i]) % p
+        pivot = next((i for i, c in enumerate(vec) if c), None)
+        if pivot is None:
+            return tuple(combo[: j + 1])
+        inv = pow(vec[pivot], p - 2, p)
+        vec = [(c * inv) % p for c in vec]
+        combo = [(c * inv) % p for c in combo]
+        basis.append((vec, combo, pivot))
+        power = field.mul(power, beta)
+    raise AssertionError("powers of beta cannot be independent beyond degree m")
 
 
 @pytest.fixture(scope="module")

@@ -10,12 +10,14 @@ helper or a dead error class behind, and a helper two modules share is
 public.  ``__init__.py`` imports exactly the names its ``__all__``
 lists, and every function among them is called by the package, a
 script or the benchmark from outside the module that defines it; and
-every public module-level function or class is read by the package, a
-script or the benchmark outside its own definition.  So the public API
-holds nothing only tests read.
+every public module-level function or class, and every public method of
+a public class, is read by the package, a script or the benchmark
+outside its own definition.  So the public API holds nothing only tests
+read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -165,23 +167,42 @@ def test_every_exported_function_is_called_outside_its_module():
     assert not uncalled, f"exported functions nothing outside their module calls: {uncalled}"
 
 
+def read_counts(tree):
+    """How many times each identifier is read in the tree, as a name or
+    as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def public_definitions(tree):
+    """(label, node) for every public module-level function or class and
+    every public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_definition_is_read_outside_the_tests():
     # a re-export from __init__.py is not a use, and neither is a
-    # definition reading its own name
+    # definition reading its own name; a method read by another method of
+    # its class is used
     sources = [*MODULES, *(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
     trees = {path: parse(path) for path in sources}
-    reads = [
-        (stmt, used_names(stmt, attributes=True))
-        for path, tree in trees.items()
-        if path != PACKAGE / "__init__.py"
-        for stmt in tree.body
-    ]
+    reads = Counter()
+    for path, tree in trees.items():
+        if path != PACKAGE / "__init__.py":
+            reads.update(read_counts(tree))
     unread = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{label}"
         for path in MODULES
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and not any(node.name in names for stmt, names in reads if stmt is not node)
+        for label, node in public_definitions(trees[path])
+        if reads[node.name] == read_counts(node)[node.name]
     ]
     assert not unread, f"public definitions only tests read: {unread}"
